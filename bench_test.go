@@ -6,10 +6,8 @@
 package memento
 
 import (
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"memento/internal/cache"
 	"memento/internal/config"
@@ -114,16 +112,7 @@ func BenchmarkTable3Config(b *testing.B) {
 // `-fleet` study's heaviest row shape). The machine-backed cost model is
 // warmed outside the timer, so the number isolates the scheduler itself —
 // arrival generation, the event heap, placement, and eviction.
-//
-// A single run is only a few milliseconds, short enough that host-level
-// interference swung recorded samples 5x. The work itself is exactly
-// deterministic (same allocation count every run), so each op executes a
-// batch of runs and reports the fastest observed so far in this process
-// as ns/op: the minimum estimates the interference-free scheduler cost,
-// and carrying it across -count repetitions keeps run-to-run variance
-// well under the 20% the BENCH_sweep.json deltas need to be meaningful.
 func BenchmarkFleet(b *testing.B) {
-	const fleetBenchRuns = 15
 	be := fleet.NewSimBackend(config.Default())
 	mk := func() *fleet.Fleet {
 		return fleet.New(config.Default(),
@@ -136,42 +125,24 @@ func BenchmarkFleet(b *testing.B) {
 	if _, err := mk().Run(machine.Memento); err != nil {
 		b.Fatal(err)
 	}
-	minNs := fleetBenchMin
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < fleetBenchRuns; j++ {
-			// Collect between runs, outside the per-run timer, so collector
-			// work from the previous run's garbage never lands in a timed
-			// window.
-			runtime.GC()
-			t0 := time.Now()
-			r, err := mk().Run(machine.Memento)
-			d := time.Since(t0).Nanoseconds()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.Invocations != 2000 {
-				b.Fatal("incomplete fleet run")
-			}
-			if minNs < 0 || d < minNs {
-				minNs = d
-			}
+		r, err := mk().Run(machine.Memento)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Invocations != 2000 {
+			b.Fatal("incomplete fleet run")
 		}
 	}
-	fleetBenchMin = minNs
-	b.ReportMetric(float64(minNs), "ns/op")
 }
-
-// fleetBenchMin carries BenchmarkFleet's fastest observed run across
-// -count repetitions of one `go test` process.
-var fleetBenchMin = int64(-1)
 
 // fleetScaleFleet builds the fleet the scale benchmarks run: a canned
 // static cost model (no machine simulation, so scheduling is the only
 // work), bursty arrivals at ~0.67 offered load, LRU keep-warm, and the
 // latency vector dropped — the configuration that isolates the
 // scheduling hot path the indexes accelerate.
-func fleetScaleFleet(hosts, n int, gap uint64, opts ...fleet.Option) *fleet.Fleet {
+func fleetScaleFleet(hosts, n int, gap uint64) *fleet.Fleet {
 	be := &fleet.StaticBackend{
 		ByWorkload: map[string]fleet.Cost{
 			"html": {RunCycles: 12_000_000, SetupCycles: 3_000_000, ColdExtraCycles: 2_400_000, FootprintPages: 1100},
@@ -181,75 +152,41 @@ func fleetScaleFleet(hosts, n int, gap uint64, opts ...fleet.Option) *fleet.Flee
 		Default: fleet.Cost{RunCycles: 10_000_000, SetupCycles: 2_000_000, ColdExtraCycles: 2_400_000, FootprintPages: 800},
 	}
 	return fleet.New(config.Default(),
-		append([]fleet.Option{
-			fleet.WithArrivals(fleet.Bursty(n, gap, 17)),
-			fleet.WithHosts(fleet.Hosts{Count: hosts, Cores: 2, MemPages: 16384}),
-			fleet.WithPolicy(fleet.LRU()),
-			fleet.WithBackend(be),
-			fleet.WithoutLatencies(),
-		}, opts...)...)
+		fleet.WithArrivals(fleet.Bursty(n, gap, 17)),
+		fleet.WithHosts(fleet.Hosts{Count: hosts, Cores: 2, MemPages: 16384}),
+		fleet.WithPolicy(fleet.LRU()),
+		fleet.WithBackend(be),
+		fleet.WithoutLatencies(),
+	)
 }
 
-// benchFleetScale times fleetScaleFleet runs with the same min-of-N
-// methodology as BenchmarkFleet: GC outside the timed window, a batch of
-// runs per op, and the fastest sample carried across -count repetitions
-// through *carried.
-func benchFleetScale(b *testing.B, hosts, n int, gap uint64, runs int, carried *int64, opts ...fleet.Option) {
-	minNs := *carried
-	b.ResetTimer()
+// benchFleetScale times one fleetScaleFleet run per op.
+func benchFleetScale(b *testing.B, hosts, n int, gap uint64) {
 	for i := 0; i < b.N; i++ {
-		for j := 0; j < runs; j++ {
-			runtime.GC()
-			t0 := time.Now()
-			r, err := fleetScaleFleet(hosts, n, gap, opts...).Run(machine.Memento)
-			d := time.Since(t0).Nanoseconds()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r.Invocations != n {
-				b.Fatal("incomplete fleet run")
-			}
-			if minNs < 0 || d < minNs {
-				minNs = d
-			}
+		r, err := fleetScaleFleet(hosts, n, gap).Run(machine.Memento)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r.Invocations != n {
+			b.Fatal("incomplete fleet run")
 		}
 	}
-	*carried = minNs
-	b.ReportMetric(float64(minNs), "ns/op")
 }
-
-var (
-	fleetScale1kMin  = int64(-1)
-	fleetScale10kMin = int64(-1)
-	fleetScaleRefMin = int64(-1)
-)
 
 // BenchmarkFleetScale measures the indexed engine at fleet scale: 1k
 // hosts x 100k invocations (always), and 10k hosts x 1M invocations
-// (skipped under -short — CI's short mode runs only the 1k point). The
-// gap scales with the host count so both points sit at the same ~0.67
-// offered load.
+// (skipped under -short). The gap scales with the host count so both
+// points sit at the same ~0.67 offered load.
 func BenchmarkFleetScale(b *testing.B) {
 	b.Run("1k_hosts_100k_invs", func(b *testing.B) {
-		benchFleetScale(b, 1000, 100_000, 9000, 5, &fleetScale1kMin)
+		benchFleetScale(b, 1000, 100_000, 9000)
 	})
 	b.Run("10k_hosts_1M_invs", func(b *testing.B) {
 		if testing.Short() {
 			b.Skip("10k-host point skipped in short mode")
 		}
-		benchFleetScale(b, 10_000, 1_000_000, 900, 1, &fleetScale10kMin)
+		benchFleetScale(b, 10_000, 1_000_000, 900)
 	})
-}
-
-// BenchmarkFleetScaleRef runs the 1k-host point on the retained
-// reference-scan engine (the pre-index O(hosts x warm) hot path) — the
-// baseline the indexed engine's >=10x speedup in BENCH_sweep.json is
-// measured against.
-func BenchmarkFleetScaleRef(b *testing.B) {
-	if testing.Short() {
-		b.Skip("reference-scan baseline skipped in short mode")
-	}
-	benchFleetScale(b, 1000, 100_000, 9000, 2, &fleetScaleRefMin, fleet.WithReferenceScans())
 }
 
 // BenchmarkWorkloadPair measures one full baseline+Memento comparison of a

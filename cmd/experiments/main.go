@@ -49,18 +49,18 @@ func run() int {
 	switch {
 	case *warm:
 		var e memento.Experiment
-		e, err = memento.WarmStartsExperimentContext(ctx, s)
+		e, err = memento.WarmStartsExperiment(ctx, s)
 		exps = []memento.Experiment{e}
 		if err == nil {
-			e, err = memento.WarmBytesExperimentContext(ctx, s)
+			e, err = memento.WarmBytesExperiment(ctx, s)
 			exps = append(exps, e)
 		}
 	case *fleetStudy:
 		var e memento.Experiment
-		e, err = memento.FleetExperimentContext(ctx, s)
+		e, err = memento.FleetExperiment(ctx, s)
 		exps = []memento.Experiment{e}
 	default:
-		exps, err = s.AllContext(ctx)
+		exps, err = s.All(ctx)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)

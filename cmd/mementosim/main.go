@@ -59,8 +59,14 @@ func run() int {
 	if *metricsOut != "" {
 		opts = append(opts, memento.WithTimeline(*interval))
 	}
+	// A run has no cancellation point once started, so an interrupt only
+	// takes effect before it.
+	if err := ctx.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "mementosim:", err)
+		return cli.ExitCode(err)
+	}
 	r := memento.NewRunner(memento.DefaultConfig(), opts...)
-	base, mem, err := r.CompareContext(ctx, *name)
+	base, mem, err := r.Compare(*name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mementosim:", err)
 		return cli.ExitCode(err)

@@ -51,7 +51,7 @@ func run() int {
 	defer stop()
 
 	s := experiments.NewSuite(config.Default(), experiments.WithWorkers(*workers))
-	sc, err := validate.RunContext(ctx, s)
+	sc, err := validate.Run(ctx, s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "validate:", err)
 		return cli.ExitCode(err)

@@ -12,12 +12,12 @@ import (
 )
 
 func main() {
-	cfg := memento.DefaultConfig()
+	r := memento.NewRunner(memento.DefaultConfig())
 
 	fmt.Println("long-running data-processing applications (steady state)")
 	fmt.Printf("%-11s %9s %10s %12s %12s\n", "application", "speedup", "paper", "DRAM saved", "free HR")
 	for _, p := range workload.ByClass(workload.DataProc) {
-		base, mem, err := memento.Compare(cfg, p.Name, memento.Options{})
+		base, mem, err := r.Compare(p.Name)
 		if err != nil {
 			log.Fatal(err)
 		}

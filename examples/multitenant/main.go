@@ -11,8 +11,6 @@ import (
 )
 
 func main() {
-	cfg := memento.DefaultConfig()
-
 	names := []string{"html", "aes", "US", "bfs-go"}
 	var traces []*memento.Trace
 	for _, n := range names {
@@ -23,7 +21,8 @@ func main() {
 		traces = append(traces, tr)
 	}
 
-	results, err := memento.RunMultiProcess(cfg, traces, memento.Options{Stack: memento.Memento}, 2000)
+	r := memento.NewRunner(memento.DefaultConfig(), memento.WithStack(memento.Memento))
+	results, err := r.RunMultiProcess(traces, 2000)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 func main() {
 	cfg := memento.DefaultConfig() // the paper's Table 3 machine
 
-	base, mem, err := memento.Compare(cfg, "html", memento.Options{})
+	base, mem, err := memento.NewRunner(cfg).Compare("html")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,8 +21,11 @@ func main() {
 
 	for _, name := range []string{"html", "US", "html-go"} {
 		for _, cold := range []bool{false, true} {
-			opt := memento.Options{ColdStart: cold}
-			base, mem, err := memento.Compare(cfg, name, opt)
+			var opts []memento.RunOption
+			if cold {
+				opts = append(opts, memento.WithColdStart())
+			}
+			base, mem, err := memento.NewRunner(cfg, opts...).Compare(name)
 			if err != nil {
 				log.Fatal(err)
 			}

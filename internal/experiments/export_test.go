@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -96,25 +97,29 @@ func TestExportEmpty(t *testing.T) {
 	}
 }
 
-// TestSuiteExport: a seeded suite's Export must produce a JSON array with
-// every experiment carrying the stable field set.
+// TestSuiteExport: exporting a suite's full evaluation must produce a JSON
+// array with every experiment carrying the stable field set.
 func TestSuiteExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
+	exps, err := sharedSuite.All(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := sharedSuite.Export(&buf); err != nil {
+	if err := Export(&buf, exps); err != nil {
 		t.Fatal(err)
 	}
-	var exps []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &exps); err != nil {
+	var wire []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
 		t.Fatal(err)
 	}
-	if len(exps) == 0 {
+	if len(wire) == 0 {
 		t.Fatal("no experiments exported")
 	}
 	seen := map[string]bool{}
-	for _, e := range exps {
+	for _, e := range wire {
 		id, _ := e["id"].(string)
 		if id == "" {
 			t.Fatalf("experiment without id: %v", e)

@@ -13,13 +13,9 @@ import (
 // machine-backed cost model so the whole table costs one (workload, stack)
 // measurement sweep. Not part of the paper's figures; printed by
 // `cmd/experiments -fleet` and pinned by experiments_fleet_output.txt.
-func FleetStudy(s *Suite) (Experiment, error) {
-	return FleetStudyContext(context.Background(), s)
-}
-
-// FleetStudyContext is FleetStudy with cancellation at per-cell
-// (pattern x policy x stack) boundaries.
-func FleetStudyContext(ctx context.Context, s *Suite) (Experiment, error) {
+// Cancellation takes effect at per-cell (pattern x policy x stack)
+// boundaries.
+func FleetStudy(ctx context.Context, s *Suite) (Experiment, error) {
 	e := Experiment{
 		ID:    "fleet",
 		Title: "Fleet simulation: arrival pattern x keep-warm policy x stack",
@@ -59,7 +55,7 @@ func FleetStudyContext(ctx context.Context, s *Suite) (Experiment, error) {
 					fleet.WithHosts(hosts),
 					fleet.WithPolicy(mk()),
 					fleet.WithBackend(backend),
-					fleet.WithMeasureWorkers(s.Workers),
+					fleet.WithMeasureWorkers(s.workers),
 				)
 				r, err := f.Run(stack)
 				if err != nil {

@@ -39,34 +39,25 @@ func (s *Suite) ColdStarts() ([]ColdRun, error) {
 // the next per-workload boundary and returns ctx.Err() without latching
 // the memo, leaving the suite reusable.
 func (s *Suite) ColdStartsContext(ctx context.Context) ([]ColdRun, error) {
-	s.coldMu.Lock()
-	defer s.coldMu.Unlock()
-	if s.coldDone {
-		return s.colds, s.coldErr
-	}
-	pairs, err := s.PairsContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var colds []ColdRun
-	for _, prof := range workload.ByClass(workload.Function) {
-		if err := ctx.Err(); err != nil {
+	return s.colds.get(ctx, func() ([]ColdRun, error) {
+		pairs, err := s.PairsContext(ctx)
+		if err != nil {
 			return nil, err
 		}
-		p := pairs[prof.Name]
-		base, mem, err := machine.RunPair(s.Cfg, p.Trace, machine.Options{ColdStart: true})
-		if err != nil {
-			s.coldErr = fmt.Errorf("experiments: %s (cold): %w", prof.Name, err)
-			s.coldDone = true
-			return s.colds, s.coldErr
+		var colds []ColdRun
+		for _, prof := range workload.ByClass(workload.Function) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			p := pairs[prof.Name]
+			base, mem, err := machine.RunPair(s.Cfg, p.Trace, machine.Options{ColdStart: true})
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s (cold): %w", prof.Name, err)
+			}
+			colds = append(colds, ColdRun{Name: prof.Name, Warm: p.Speedup(), Cold: machine.Speedup(base, mem)})
 		}
-		colds = append(colds, ColdRun{Name: prof.Name, Warm: p.Speedup(), Cold: machine.Speedup(base, mem)})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.colds, s.coldDone = colds, true
-	return s.colds, nil
+		return colds, nil
+	})
 }
 
 // MallaccRuns runs (once) the §6.7 idealized-Mallacc comparison over the
@@ -79,29 +70,20 @@ func (s *Suite) MallaccRuns() ([]MallaccRun, error) {
 // MallaccRunsContext is MallaccRuns with cancellation, with the same
 // no-latch-on-cancel contract as PairsContext.
 func (s *Suite) MallaccRunsContext(ctx context.Context) ([]MallaccRun, error) {
-	s.mallaccMu.Lock()
-	defer s.mallaccMu.Unlock()
-	if s.mallaccDone {
-		return s.mallaccs, s.mallaccErr
-	}
-	var runs []MallaccRun
-	for _, prof := range workload.ByLanguage(workload.Function, trace.Cpp) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	return s.mallaccs.get(ctx, func() ([]MallaccRun, error) {
+		var runs []MallaccRun
+		for _, prof := range workload.ByLanguage(workload.Function, trace.Cpp) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			c, err := mallacc.Run(s.Cfg, s.genTrace(prof))
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s (mallacc): %w", prof.Name, err)
+			}
+			runs = append(runs, MallaccRun{Name: prof.Name, Mallacc: c.MallaccSpeedup(), Memento: c.MementoSpeedup()})
 		}
-		c, err := mallacc.Run(s.Cfg, s.genTrace(prof))
-		if err != nil {
-			s.mallaccErr = fmt.Errorf("experiments: %s (mallacc): %w", prof.Name, err)
-			s.mallaccDone = true
-			return s.mallaccs, s.mallaccErr
-		}
-		runs = append(runs, MallaccRun{Name: prof.Name, Mallacc: c.MallaccSpeedup(), Memento: c.MementoSpeedup()})
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	s.mallaccs, s.mallaccDone = runs, true
-	return s.mallaccs, nil
+		return runs, nil
+	})
 }
 
 // ClassSpeedup returns the Fig 8 speedup for one workload class: the mean

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -34,41 +33,50 @@ func (p Pair) Speedup() float64 { return machine.Speedup(p.Base, p.Mem) }
 // functional options, mirroring the Runner API:
 //
 //	s := experiments.NewSuite(cfg, experiments.WithWorkers(4))
-//	exps, err := s.All()
+//	exps, err := s.All(ctx)
 type Suite struct {
 	Cfg config.Machine
-	// Workers bounds the sweep's parallel fan-out. Zero or negative selects
-	// runtime.GOMAXPROCS(0), the scheduler's actual parallelism budget.
-	//
-	// Deprecated: set it with the WithWorkers suite option; the field
-	// remains as an alias and stays honored.
-	Workers int
 
-	warm     bool
-	exportTo io.Writer
+	workers  int
 	progress func(Experiment)
 
-	// The three sweep memos latch only completed measurements: a sweep cut
-	// short by context cancellation is discarded, so the suite stays
-	// reusable after a cancelled job (the mementod cancellation contract).
-	// Each memo has its own mutex so ColdStarts may call Pairs while held.
-	pairsMu   sync.Mutex
-	pairsDone bool
-	pairs     map[string]*Pair
-	err       error
+	// pairs, colds and mallaccs memoize the workload sweep and the §6.6
+	// cold-start and §6.7 Mallacc studies, so the figure renderers and the
+	// validation extractors (internal/validate) share one deterministic
+	// measurement set.
+	pairs    memo[map[string]*Pair]
+	colds    memo[[]ColdRun]
+	mallaccs memo[[]MallaccRun]
+}
 
-	// coldMu/mallaccMu memoize the §6.6 cold-start and §6.7 Mallacc
-	// sweeps so the figure renderers and the validation extractors
-	// (internal/validate) share one deterministic measurement set.
-	coldMu   sync.Mutex
-	coldDone bool
-	colds    []ColdRun
-	coldErr  error
+// memo latches the result of one memoized sweep. Only a completed
+// computation is latched: one cut short by context cancellation returns
+// ctx.Err() and leaves the memo empty, so the suite stays reusable after
+// a cancelled job (the mementod cancellation contract). Each memo has its
+// own mutex, so one memo's computation may read another (ColdStarts reads
+// Pairs). Concurrent callers serialize; the first one computes.
+type memo[T any] struct {
+	mu   sync.Mutex
+	done bool
+	val  T
+	err  error
+}
 
-	mallaccMu   sync.Mutex
-	mallaccDone bool
-	mallaccs    []MallaccRun
-	mallaccErr  error
+func (m *memo[T]) get(ctx context.Context, compute func() (T, error)) (T, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !m.done {
+		var zero T
+		if err := ctx.Err(); err != nil {
+			return zero, err
+		}
+		v, err := compute()
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return zero, ctxErr
+		}
+		m.val, m.err, m.done = v, err, true
+	}
+	return m.val, m.err
 }
 
 // ColdRun is one function workload's warm-vs-cold speedup pair from the
@@ -93,16 +101,9 @@ type MallaccRun struct {
 type SuiteOption func(*Suite)
 
 // WithWorkers bounds the sweep's parallel fan-out (zero or negative
-// selects runtime.GOMAXPROCS(0)).
-func WithWorkers(n int) SuiteOption { return func(s *Suite) { s.Workers = n } }
-
-// WithWarm makes Suite.All append the warm-start study (the
-// `cmd/experiments -warm` table) after the paper's tables and figures.
-func WithWarm() SuiteOption { return func(s *Suite) { s.warm = true } }
-
-// WithExport makes Suite.All also write the returned experiments in their
-// stable JSON wire form to w on success (nil detaches).
-func WithExport(w io.Writer) SuiteOption { return func(s *Suite) { s.exportTo = w } }
+// selects runtime.GOMAXPROCS(0), the scheduler's actual parallelism
+// budget).
+func WithWorkers(n int) SuiteOption { return func(s *Suite) { s.workers = n } }
 
 // WithProgress invokes fn after each experiment Suite.All completes, in
 // order (nil detaches). mementod streams sweep telemetry through this
@@ -128,7 +129,7 @@ func (s *Suite) genTrace(p workload.Profile) *trace.Trace {
 
 // workerCount resolves the effective fan-out for n jobs.
 func (s *Suite) workerCount(n int) int {
-	w := s.Workers
+	w := s.workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
@@ -149,24 +150,9 @@ func (s *Suite) Pairs() (map[string]*Pair, error) {
 // PairsContext is Pairs with cancellation: a cancelled context stops the
 // sweep at the next per-workload boundary and returns ctx.Err() without
 // latching the memo, so a later call (with a live context) redoes the
-// sweep from scratch. Only a completed sweep is memoized. Concurrent
-// callers serialize on the memo; the sweep itself is run by whichever
-// caller gets there first.
+// sweep from scratch.
 func (s *Suite) PairsContext(ctx context.Context) (map[string]*Pair, error) {
-	s.pairsMu.Lock()
-	defer s.pairsMu.Unlock()
-	if s.pairsDone {
-		return s.pairs, s.err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	pairs, err := s.sweep(ctx)
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return nil, ctxErr
-	}
-	s.pairs, s.err, s.pairsDone = pairs, err, true
-	return s.pairs, s.err
+	return s.pairs.get(ctx, func() (map[string]*Pair, error) { return s.sweep(ctx) })
 }
 
 // sweep runs the full workload sweep. Workers stop picking up new

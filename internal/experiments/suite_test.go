@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"errors"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -57,7 +57,7 @@ func TestPairsConcurrentCallers(t *testing.T) {
 // and error, without running any simulation.
 func seededSuite(pairs map[string]*Pair, err error) *Suite {
 	s := &Suite{}
-	s.pairs, s.err, s.pairsDone = pairs, err, true
+	s.pairs.val, s.pairs.err, s.pairs.done = pairs, err, true
 	return s
 }
 
@@ -110,30 +110,28 @@ func TestPairsErrorAggregation(t *testing.T) {
 	}
 }
 
-// TestSuiteOptions pins the functional-option wiring: WithWorkers is an
-// alias for the deprecated Workers field (both directions stay honored),
-// and WithWarm/WithExport arm the All() extensions without changing the
-// default path (the goldens pin that output byte for byte).
+// TestSuiteOptions pins the functional-option wiring: WithWorkers bounds
+// the fan-out, WithProgress attaches the hook, and a default suite is
+// zero-configured (GOMAXPROCS workers, no hook).
 func TestSuiteOptions(t *testing.T) {
-	s := NewSuite(config.Default(), WithWorkers(3))
-	if s.Workers != 3 {
-		t.Fatalf("WithWorkers(3) set Workers=%d", s.Workers)
+	if got := NewSuite(config.Default(), WithWorkers(3)).workerCount(100); got != 3 {
+		t.Fatalf("WithWorkers(3): workerCount=%d", got)
 	}
-	s.Workers = 5 // deprecated field write still wins afterwards
-	if s.workerCount(100) != 5 {
-		t.Fatalf("deprecated Workers field not honored: workerCount=%d", s.workerCount(100))
+	var seen []string
+	s := NewSuite(config.Default(), WithProgress(func(e Experiment) { seen = append(seen, e.ID) }))
+	if s.progress == nil {
+		t.Fatal("WithProgress did not attach the hook")
 	}
-
-	var buf strings.Builder
-	s = NewSuite(config.Default(), WithWarm(), WithExport(&buf))
-	if !s.warm {
-		t.Fatal("WithWarm did not arm the warm study")
-	}
-	if s.exportTo != &buf {
-		t.Fatal("WithExport did not attach the writer")
+	s.progress(Experiment{ID: "fig8"})
+	if len(seen) != 1 || seen[0] != "fig8" {
+		t.Fatalf("progress hook saw %v", seen)
 	}
 
-	if s := NewSuite(config.Default()); s.warm || s.exportTo != nil || s.Workers != 0 {
-		t.Fatalf("default suite not zero-configured: %+v", s)
+	s = NewSuite(config.Default())
+	if s.workers != 0 || s.progress != nil {
+		t.Fatalf("default suite not zero-configured: workers=%d progress=%v", s.workers, s.progress != nil)
+	}
+	if got, want := s.workerCount(100), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default workerCount=%d, want GOMAXPROCS=%d", got, want)
 	}
 }

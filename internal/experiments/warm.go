@@ -15,13 +15,8 @@ import (
 // each stack skips per warm invocation, absolute and as a share of the
 // whole run. Not part of the paper's figures; printed by
 // `cmd/experiments -warm` and pinned by experiments_warm_output.txt.
-func WarmStarts(s *Suite) (Experiment, error) {
-	return WarmStartsContext(context.Background(), s)
-}
-
-// WarmStartsContext is WarmStarts with cancellation at per-workload
-// boundaries.
-func WarmStartsContext(ctx context.Context, s *Suite) (Experiment, error) {
+// Cancellation takes effect at per-workload boundaries.
+func WarmStarts(ctx context.Context, s *Suite) (Experiment, error) {
 	e := Experiment{
 		ID:    "warm",
 		Title: "Warm starts: setup cycles skipped per invocation",
@@ -67,14 +62,9 @@ func WarmStartsContext(ctx context.Context, s *Suite) (Experiment, error) {
 // actually copies — only the regions the previous run dirtied). The gap is
 // the lazy-restore saving massive warm fan-out rides on. Printed by
 // `cmd/experiments -warm` after the setup-cycle table and pinned by
-// experiments_warm_output.txt.
-func WarmBytes(s *Suite) (Experiment, error) {
-	return WarmBytesContext(context.Background(), s)
-}
-
-// WarmBytesContext is WarmBytes with cancellation at per-workload
+// experiments_warm_output.txt. Cancellation takes effect at per-workload
 // boundaries.
-func WarmBytesContext(ctx context.Context, s *Suite) (Experiment, error) {
+func WarmBytes(ctx context.Context, s *Suite) (Experiment, error) {
 	e := Experiment{
 		ID:    "warmbytes",
 		Title: "Warm starts: checkpoint bytes vs delta-restore bytes",

@@ -1056,9 +1056,9 @@ func (e *engine) finishResult() {
 		}
 	}
 	slices.Sort(sorted)
-	r.P50 = stats.PercentileUint64(sorted, 0.50)
-	r.P99 = stats.PercentileUint64(sorted, 0.99)
-	r.P999 = stats.PercentileUint64(sorted, 0.999)
+	r.P50 = stats.Percentile(sorted, 0.50)
+	r.P99 = stats.Percentile(sorted, 0.99)
+	r.P999 = stats.Percentile(sorted, 0.999)
 	if len(sorted) > 0 {
 		r.MeanLatency = float64(sum) / float64(len(sorted))
 	}

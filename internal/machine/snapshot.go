@@ -77,18 +77,12 @@ func (m *Machine) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore replaces the machine's hardware state with that of s. The
-// machine must have been built from the same configuration; probe and hook
-// attachments survive the restore (their cached flags are re-derived).
-func (m *Machine) Restore(s *Snapshot) error {
-	_, err := m.RestoreMetered(s)
-	return err
-}
-
-// RestoreMetered is Restore with byte metering: it reports how much state
-// the restore copied. Restoring a machine back onto its own base snapshot
-// copies only what the machine dirtied since — the lazy-restore fast path
-// massive warm fan-out rides on.
+// RestoreMetered replaces the machine's hardware state with that of s and
+// reports how much state the restore copied. The machine must have been
+// built from the same configuration; probe and hook attachments survive
+// the restore (their cached flags are re-derived). Restoring a machine
+// back onto its own base snapshot copies only what the machine dirtied
+// since — the lazy-restore fast path massive warm fan-out rides on.
 func (m *Machine) RestoreMetered(s *Snapshot) (RestoreStats, error) {
 	if m.cfg != s.cfg {
 		return RestoreStats{}, fmt.Errorf("machine: restore of snapshot from a different configuration: %w", simerr.ErrInvalidConfig)

@@ -74,7 +74,7 @@ func TestSnapshotAliasingSafety(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m2.Restore(snap); err != nil {
+		if _, err := m2.RestoreMetered(snap); err != nil {
 			t.Fatalf("%v: %v", stack, err)
 		}
 		got, err := m2.Run(tr, opt)

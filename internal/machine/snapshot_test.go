@@ -229,7 +229,7 @@ func TestSnapshotMachineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Restore(snap); err != nil {
+	if _, err := m.RestoreMetered(snap); err != nil {
 		t.Fatal(err)
 	}
 	fresh, _ := New(config.Default())
@@ -250,7 +250,7 @@ func TestSnapshotMachineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mismatched.Restore(snap); !errors.Is(err, simerr.ErrInvalidConfig) {
+	if _, err := mismatched.RestoreMetered(snap); !errors.Is(err, simerr.ErrInvalidConfig) {
 		t.Fatalf("cross-config restore accepted: %v", err)
 	}
 }

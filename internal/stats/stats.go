@@ -223,10 +223,10 @@ func GeoMean(vs []float64) float64 {
 	return math.Exp(logSum / float64(n))
 }
 
-// PercentileUint64 returns the q-quantile (0 < q <= 1) of the samples by
-// the nearest-rank method. The input must be sorted ascending; the result
-// is always one of the samples. Returns 0 for an empty input.
-func PercentileUint64(sorted []uint64, q float64) uint64 {
+// Percentile returns the q-quantile (0 < q <= 1) of the samples by the
+// nearest-rank method. The input must be sorted ascending; the result is
+// always one of the samples. Returns 0 for an empty input.
+func Percentile[T uint64 | float64](sorted []T, q float64) T {
 	if len(sorted) == 0 {
 		return 0
 	}

@@ -188,6 +188,24 @@ func TestMeanAndMinMax(t *testing.T) {
 	}
 }
 
+func TestPercentileNearestRank(t *testing.T) {
+	if Percentile([]uint64(nil), 0.5) != 0 {
+		t.Error("Percentile(nil) should be 0")
+	}
+	us := []uint64{10, 20, 30, 40}
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{{0, 10}, {0.25, 10}, {0.5, 20}, {0.51, 30}, {0.99, 40}, {1, 40}} {
+		if got := Percentile(us, c.q); got != c.want {
+			t.Errorf("Percentile(%v) = %d, want %d", c.q, got, c.want)
+		}
+	}
+	if got := Percentile([]float64{1.5, 2.5, 3.5}, 0.5); got != 2.5 {
+		t.Errorf("float64 median = %v, want 2.5", got)
+	}
+}
+
 func TestSafeDiv(t *testing.T) {
 	if SafeDiv(1, 0) != 0 {
 		t.Error("SafeDiv(1,0) should be 0")

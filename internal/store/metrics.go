@@ -1,9 +1,10 @@
 package store
 
 import (
-	"math"
 	"sort"
 	"sync"
+
+	"memento/internal/stats"
 )
 
 // maxLatencySamples bounds the latency reservoir; older completions
@@ -55,6 +56,14 @@ func (m *metrics) jobSubmitted(queued bool) {
 	}
 }
 
+// jobRejected undoes jobSubmitted(true) for a job the full queue refused.
+func (m *metrics) jobRejected() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.submitted--
+	m.queued--
+}
+
 func (m *metrics) cacheHit()  { m.mu.Lock(); m.hits++; m.mu.Unlock() }
 func (m *metrics) cacheMiss() { m.mu.Lock(); m.misses++; m.mu.Unlock() }
 
@@ -101,22 +110,6 @@ func (m *metrics) jobFinished(from string, terminal Status, latencyMs float64) {
 	}
 }
 
-// percentile returns the q-th percentile (0..1] of sorted vs by the
-// nearest-rank method; 0 for an empty slice.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
-}
-
 func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -136,8 +129,8 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	if len(m.latencies) > 0 {
 		sorted := append([]float64(nil), m.latencies...)
 		sort.Float64s(sorted)
-		s.LatencyP50Ms = percentile(sorted, 0.50)
-		s.LatencyP99Ms = percentile(sorted, 0.99)
+		s.LatencyP50Ms = stats.Percentile(sorted, 0.50)
+		s.LatencyP99Ms = stats.Percentile(sorted, 0.99)
 	}
 	return s
 }

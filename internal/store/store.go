@@ -215,11 +215,15 @@ func (s *Store) Submit(spec JobSpec) (*Job, error) {
 	}
 	cached, hit := s.cache[key]
 	if !hit {
-		// Reserve a queue slot before publishing the job: a full queue
-		// must reject the submission without leaking a registry entry.
+		// Count the job before a worker can see it (its jobStarted must
+		// find it counted), then reserve a queue slot before publishing
+		// it: a full queue rejects the submission without leaking a
+		// registry entry or a count.
+		s.metrics.jobSubmitted(true)
 		select {
 		case s.queue <- j:
 		default:
+			s.metrics.jobRejected()
 			s.mu.Unlock()
 			jcancel()
 			return nil, ErrQueueFull
@@ -245,7 +249,6 @@ func (s *Store) Submit(spec JobSpec) (*Job, error) {
 		s.metrics.jobFinished("", StatusDone, 0)
 		return j, nil
 	}
-	s.metrics.jobSubmitted(true)
 	s.metrics.cacheMiss()
 	return j, nil
 }

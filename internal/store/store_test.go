@@ -332,6 +332,69 @@ func TestConcurrentSubmits(t *testing.T) {
 	}
 }
 
+// TestQueuedCountSettles: a worker that starts a job before Submit has
+// returned must still find it counted as queued, so once every job of a
+// burst is terminal no queued or running count is left over. Submitters
+// cancel each job right after submission, which keeps the test cheap and
+// leaves the workers idle and racing Submit as often as possible; a
+// concurrent /metrics scraper contends the counters the way a monitored
+// daemon does. A lost count never recovers, so the races add up. Run
+// under -race, where the window is widest.
+func TestQueuedCountSettles(t *testing.T) {
+	const submitters, perSubmitter = 4, 500
+	const n = submitters * perSubmitter
+	s := newTestStore(t, Options{Workers: 2, QueueDepth: n})
+	stop := make(chan struct{})
+	scraped := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.Metrics()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	jobs := make([]*Job, n)
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perSubmitter; i++ {
+				j, err := s.Submit(JobSpec{Kind: "run", Workload: "aes"})
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				s.Cancel(j.ID)
+				jobs[g*perSubmitter+i] = j
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-scraped
+	for _, j := range jobs {
+		if j != nil {
+			waitTerminal(t, j)
+		}
+	}
+	// A job turns terminal just before its counters move; wait for the
+	// counters to account for all n jobs.
+	deadline := time.Now().Add(10 * time.Second)
+	m := s.Metrics()
+	for m.JobsDone+m.JobsCanceled+m.JobsFailed < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		m = s.Metrics()
+	}
+	if m.JobsQueued != 0 || m.JobsRunning != 0 {
+		t.Fatalf("after %d terminal jobs: queued=%d running=%d, want 0/0", n, m.JobsQueued, m.JobsRunning)
+	}
+}
+
 func TestEventLogResume(t *testing.T) {
 	l := newEventLog()
 	l.append(EventQueued, nil)

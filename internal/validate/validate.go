@@ -164,17 +164,12 @@ type Scorecard struct {
 
 // Run evaluates every registry target against the suite. The suite's
 // cached sweeps are shared across targets, so the whole scorecard costs
-// one workload sweep plus the cold-start/Mallacc/iso-storage studies.
-func Run(s *experiments.Suite) (Scorecard, error) {
-	return RunContext(context.Background(), s)
-}
-
-// RunContext is Run with cancellation: the heavy memoized sweeps are
-// primed under ctx (cancellation stops them at the next per-workload
-// boundary) and the context is re-checked before each target's extractor,
-// so an interrupted validation returns ctx.Err() promptly instead of
-// running the full registry.
-func RunContext(ctx context.Context, s *experiments.Suite) (Scorecard, error) {
+// one workload sweep plus the cold-start/Mallacc/iso-storage studies. The
+// heavy memoized sweeps are primed under ctx (cancellation stops them at
+// the next per-workload boundary) and the context is re-checked before
+// each target's extractor, so an interrupted validation returns ctx.Err()
+// promptly instead of running the full registry.
+func Run(ctx context.Context, s *experiments.Suite) (Scorecard, error) {
 	var sc Scorecard
 	if _, err := s.PairsContext(ctx); err != nil {
 		return sc, fmt.Errorf("validate: %w", err)

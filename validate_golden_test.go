@@ -2,6 +2,7 @@ package memento
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestExperimentsMDGolden(t *testing.T) {
 		t.Fatalf("reading golden file: %v", err)
 	}
 	s := experiments.NewSuite(config.Default())
-	sc, err := validate.Run(s)
+	sc, err := validate.Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
