@@ -111,7 +111,7 @@ func BenchmarkTable3Config(b *testing.B) {
 // discrete-event-scheduled across 4x2 cores under the LRU policy (the
 // `-fleet` study's heaviest row shape). The machine-backed cost model is
 // warmed outside the timer, so the number isolates the scheduler itself —
-// arrival generation, the event heap, placement, and eviction.
+// arrival generation, the event queue, placement, and eviction.
 func BenchmarkFleet(b *testing.B) {
 	be := fleet.NewSimBackend(config.Default())
 	mk := func() *fleet.Fleet {

@@ -89,12 +89,16 @@ func WarmBytes(ctx context.Context, s *Suite) (Experiment, error) {
 			if err != nil {
 				return e, fmt.Errorf("experiments: %s (warm bytes, %s): %w", name, stack, err)
 			}
-			// First restored run populates the machine pool; the second
-			// meters the steady-state delta restore.
-			if _, _, err := ws.RunMetered(pr.Trace, opt); err != nil {
+			// Run once on a held machine, then restore it: the restore
+			// meters the steady-state delta that run dirtied.
+			m, err := machine.New(s.Cfg)
+			if err != nil {
 				return e, fmt.Errorf("experiments: %s (warm bytes, %s): %w", name, stack, err)
 			}
-			_, rs, err := ws.RunMetered(pr.Trace, opt)
+			if _, _, err := ws.RunOn(m, pr.Trace, opt); err != nil {
+				return e, fmt.Errorf("experiments: %s (warm bytes, %s): %w", name, stack, err)
+			}
+			rs, err := ws.Restore(m)
 			if err != nil {
 				return e, fmt.Errorf("experiments: %s (warm bytes, %s): %w", name, stack, err)
 			}

@@ -41,7 +41,8 @@ type Cost struct {
 	// checkpoint — what a deep-copy restore would move.
 	SnapshotBytes uint64
 	// RestoreBytes is what a steady-state warm restore actually copies: the
-	// delta a previous run dirtied, measured on the second restored run.
+	// delta a previous run dirtied, measured by restoring the machine that
+	// run used.
 	RestoreBytes uint64
 }
 
@@ -133,8 +134,8 @@ func (b *SimBackend) Measure(name string, stack machine.Stack) (Cost, error) {
 		delete(b.inflight, key)
 		if err == nil {
 			b.costs[key] = c
-			// Two restored runs per measurement: the full-copy run and the
-			// delta-metering run.
+			// Two restores per measurement: the run's full copy and the
+			// delta-metering restore after it.
 			b.restores += 2
 		}
 		b.mu.Unlock()
@@ -144,10 +145,12 @@ func (b *SimBackend) Measure(name string, stack machine.Stack) (Cost, error) {
 }
 
 // measure runs the actual simulation: one PrepareWarm (building the
-// checkpoint) and two restored runs. The first run restores onto a fresh
-// machine (a full copy); the second recycles that machine, so its metering
-// reports the steady-state delta restore — the bytes a warm fan-out
-// instance actually copies once the base is shared.
+// checkpoint) and one restored run on a fresh machine the backend holds (a
+// full copy). Restoring that machine once more meters the steady-state
+// delta restore — the bytes a warm fan-out instance actually copies once
+// the base is shared. Holding the machine, rather than recycling one
+// through the checkpoint's pool, makes the delta deterministic: a pool may
+// drop its machines at any GC (and often does under -race).
 func (b *SimBackend) measure(name string, stack machine.Stack) (Cost, error) {
 	p, ok := workload.ByName(name)
 	if !ok {
@@ -159,13 +162,17 @@ func (b *SimBackend) measure(name string, stack machine.Stack) (Cost, error) {
 	if err != nil {
 		return Cost{}, fmt.Errorf("fleet: measuring %s/%s: %w", name, stack, err)
 	}
-	res, _, err := ws.RunMetered(tr, opt)
+	m, err := machine.New(b.cfg)
+	if err != nil {
+		return Cost{}, fmt.Errorf("fleet: measuring %s/%s: %w", name, stack, err)
+	}
+	res, _, err := ws.RunOn(m, tr, opt)
 	if err != nil {
 		return Cost{}, fmt.Errorf("fleet: measuring %s/%s (warm run): %w", name, stack, err)
 	}
-	_, delta, err := ws.RunMetered(tr, opt)
+	delta, err := ws.Restore(m)
 	if err != nil {
-		return Cost{}, fmt.Errorf("fleet: measuring %s/%s (delta run): %w", name, stack, err)
+		return Cost{}, fmt.Errorf("fleet: measuring %s/%s (delta restore): %w", name, stack, err)
 	}
 	c := Cost{
 		RunCycles:       res.Cycles,

@@ -17,9 +17,12 @@
 // The scheduling hot path is indexed: a least-loaded tournament tree,
 // per-workload warm trees (workload names interned to dense ids), per-host
 // idle-sorted warm rings with uid maps, and an arrivals cursor merged with
-// the completion/expiry heap answer every placement, victim, and expiry
+// the completion/expiry queue answer every placement, victim, and expiry
 // query in O(1)-O(log N), where the original engine scanned O(hosts x warm
-// instances) per event. The original scans are retained in reference.go as
+// instances) per event. The trees are 8-ary with early-exit updates; the
+// queue orders compact (time, seq, slot) keys over a payload slab, and
+// keep-alive deadlines that arrive in time order (any fixed TTL) bypass
+// its heap through a FIFO lane. The original scans are retained in reference.go as
 // ground truth — WithReferenceScans routes every accessor through them —
 // and the index tie-breaks reproduce the scan order exactly, so the two
 // engines are differentially tested for deeply equal Results (Conformance,
@@ -29,10 +32,13 @@
 // # Invariants
 //
 // Determinism: arrivals come from an explicitly seeded local rand.Source
-// (never the global one), the event queue breaks ties on (time, seq), and
-// the cost backend memoizes machine runs — the same Fleet configuration
-// always produces the same Result, including under -race. Nothing reads
-// clocks or ambient randomness.
+// (never the global one), the event queue breaks ties on (time, seq) — a
+// total order, so how it splits keys between lane and heap cannot change
+// the schedule — and the cost backend memoizes machine runs, metering the
+// delta restore on a machine it holds rather than one recycled through a
+// sync.Pool. The same Fleet configuration always produces the same
+// Result, including under -race. Nothing reads clocks or ambient
+// randomness.
 //
 // Pool sort: the simulation clock is non-decreasing and warm instances
 // are only appended at completion times, so each host's pool is always

@@ -424,7 +424,7 @@ func (c *Cluster) OldestWarm(h int) int {
 	return 0
 }
 
-// event kinds, processed in (time, seq) order. Arrivals are not heap
+// event kinds, processed in (time, seq) order. Arrivals are not queued
 // events: they feed from the time-sorted trace through a cursor and win
 // ties against same-time completions and expiries (in the heap-fed engine
 // every arrival was pushed first, so its seq was lower).
@@ -433,16 +433,16 @@ const (
 	evExpiry
 )
 
+// event is a queued event's payload, one 64-byte slab entry; its time and
+// seq live in the queue's key.
 type event struct {
-	time uint64
-	seq  int
-	kind int
-	inv  Invocation
-	host int
-	slot int
-	uid  int
-	warm bool
-	ded  uint64 // dispatch time (completion events)
+	inv  Invocation // completion: the invocation
+	ded  uint64     // completion: dispatch time
+	uid  int        // expiry: the warm instance
+	host int32
+	slot int32 // completion: the core slot
+	kind uint8
+	warm bool // completion: served by a warm instance
 }
 
 // engine is the per-Run mutable state.
@@ -452,7 +452,6 @@ type engine struct {
 	c       Cluster
 	costs   map[string]Cost
 	events  eventQueue
-	seq     int
 	pending pendingRing
 	uid     int
 	// selfCheck cross-checks every indexed accessor against its reference
@@ -769,12 +768,6 @@ func (f *Fleet) measure(invs []Invocation, stack machine.Stack) (map[string]Cost
 	return costs, nil
 }
 
-func (e *engine) push(ev event) {
-	ev.seq = e.seq
-	e.seq++
-	e.events.push(ev)
-}
-
 // memDelta applies one aggregate-memory change at the current time,
 // folding the elapsed interval into the time-weighted mean.
 func (e *engine) memDelta(delta int64) {
@@ -791,13 +784,13 @@ func (e *engine) memDelta(delta int64) {
 
 // loop is the discrete-event core: arrivals feed from the already
 // time-sorted trace through a cursor, merged against the
-// completion/expiry heap. At equal times an arrival goes first — the same
+// completion/expiry queue. At equal times an arrival goes first — the same
 // order the heap-fed engine produced, where every arrival was pushed
 // before any dynamic event and so carried a lower seq.
 func (e *engine) loop(invs []Invocation) error {
 	next := 0
-	for next < len(invs) || len(e.events) > 0 {
-		if next < len(invs) && (len(e.events) == 0 || invs[next].Arrival <= e.events[0].time) {
+	for next < len(invs) || e.events.len() > 0 {
+		if k, ok := e.events.peek(); next < len(invs) && (!ok || invs[next].Arrival <= k.time) {
 			inv := invs[next]
 			next++
 			e.c.now = inv.Arrival
@@ -812,18 +805,20 @@ func (e *engine) loop(invs []Invocation) error {
 				}
 			}
 		} else {
-			ev := e.events.pop()
-			e.c.now = ev.time
+			k := e.events.pop()
+			e.c.now = k.time
+			ev := &e.events.slab[k.slot]
+			var err error
 			switch ev.kind {
 			case evCompletion:
-				if err := e.complete(ev); err != nil {
-					return err
-				}
+				err = e.complete(ev)
 			case evExpiry:
-				if err := e.expire(ev); err != nil {
-					return err
-				}
+				err = e.expire(ev)
 			}
+			if err != nil {
+				return err
+			}
+			e.events.release(k.slot)
 		}
 		if e.selfCheck {
 			if err := e.verifyIndexes(); err != nil {
@@ -933,31 +928,32 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 		// dispatch and pays the Sched-calibrated context-switch surcharge.
 		service = base*uint64(k) + cost.CtxSwitchCycles
 	}
-	e.push(event{time: e.c.now + service, kind: evCompletion,
-		inv: inv, host: h, slot: slot, warm: warm, ded: e.c.now})
+	e.events.push(e.c.now+service, event{kind: evCompletion,
+		inv: inv, host: int32(h), slot: int32(slot), warm: warm, ded: e.c.now}, false)
 	return true, nil
 }
 
 // complete retires one invocation, consults the keep-warm policy, and
 // drains the pending queue against the freed capacity.
-func (e *engine) complete(ev event) error {
-	host := &e.c.hosts[ev.host]
+func (e *engine) complete(ev *event) error {
+	h := int(ev.host)
+	host := &e.c.hosts[h]
 	host.slots[ev.slot]--
-	e.setRunning(ev.host, -1)
+	e.setRunning(h, -1)
 
-	lat := ev.time - ev.inv.Arrival
+	lat := e.c.now - ev.inv.Arrival
 	e.res.Latencies = append(e.res.Latencies, lat)
 	if e.f.probe != nil {
 		e.f.probe.Invocation(InvocationDone{
-			Invocation: ev.inv, Host: ev.host, Start: ev.ded, End: ev.time, Warm: ev.warm,
+			Invocation: ev.inv, Host: h, Start: ev.ded, End: e.c.now, Warm: ev.warm,
 		})
 	}
 
 	cost := e.costs[ev.inv.Workload]
 	ttl := e.f.policy.KeepWarmTTL(&e.c, ev.inv)
 	if ttl == 0 {
-		pages := e.releasePages(ev.host, ev.inv.Workload, false)
-		e.setUsed(ev.host, -int64(pages))
+		pages := e.releasePages(h, ev.inv.Workload, false)
+		e.setUsed(h, -int64(pages))
 		e.memDelta(-int64(pages))
 	} else {
 		w := warmInst{
@@ -972,30 +968,33 @@ func (e *engine) complete(ev event) error {
 			// base there is nothing to restore from, so the instance must
 			// stay fully resident.
 			private := cost.FootprintPages - cost.SharedPages
-			e.setUsed(ev.host, -int64(private))
+			e.setUsed(h, -int64(private))
 			e.memDelta(-int64(private))
 			w.pages = cost.SharedPages
 			w.trimmed = true
 		}
 		e.uid++
 		if ttl != NoExpiry {
+			// Deadlines under a fixed TTL arrive in time order and ride
+			// the queue's FIFO lane.
 			w.expireAt = e.c.now + ttl
-			e.push(event{time: w.expireAt, kind: evExpiry, host: ev.host, uid: w.uid})
+			e.events.push(w.expireAt, event{kind: evExpiry, host: ev.host, uid: w.uid}, true)
 		}
-		e.warmAdd(ev.host, w)
+		e.warmAdd(h, w)
 	}
 	return e.drainPending()
 }
 
 // expire drops a warm instance whose keep-alive deadline passed, unless a
 // warm hit already consumed it. The uid map makes the lookup O(1).
-func (e *engine) expire(ev event) error {
-	host := &e.c.hosts[ev.host]
+func (e *engine) expire(ev *event) error {
+	h := int(ev.host)
+	host := &e.c.hosts[h]
 	pos, ok := host.uidPos[ev.uid]
 	if !ok {
 		return nil
 	}
-	e.evict(ev.host, pos-host.whead, "ttl")
+	e.evict(h, pos-host.whead, "ttl")
 	return e.drainPending()
 }
 

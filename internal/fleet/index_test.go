@@ -277,3 +277,93 @@ func TestWithoutLatencies(t *testing.T) {
 		t.Fatalf("WithoutLatencies changed aggregates:\nfull: %+v\nlean: %+v", full, lean)
 	}
 }
+
+// TestTreesAgainstScans checks the 8-ary tournament trees against linear
+// scans at host counts around the fan-out's edges (a lone leaf, one
+// partial node, exactly one full node, one past it) and at scale. Keys are
+// drawn from tiny ranges so running counts, free pages and idle times tie
+// constantly, and eligibility flips often. After every update best() must
+// equal the scan, and every internal node must equal its children's
+// winner by a plain left-to-right scan: the early exits never leave an
+// ancestor stale.
+func TestTreesAgainstScans(t *testing.T) {
+	type llLeaf struct {
+		running  int
+		free     uint64
+		eligible bool
+	}
+	type warmLeaf struct {
+		idle     uint64
+		eligible bool
+	}
+	for _, hosts := range []int{1, 7, 8, 9, 64, 1000, 10000} {
+		rng := rand.New(rand.NewSource(int64(hosts)))
+		ll, warm := newLLTree(hosts), newWarmTree(hosts)
+		lls, warms := make([]llLeaf, hosts), make([]warmLeaf, hosts)
+		for h := range lls {
+			lls[h] = llLeaf{free: 100, eligible: true}
+			ll.update(h, 0, 100, true)
+		}
+		for step := 0; step < 3000; step++ {
+			// Mostly touch a small hot set so updates collide and tie.
+			h := rng.Intn(hosts)
+			if rng.Intn(2) == 0 {
+				h = rng.Intn(min(hosts, 20))
+			}
+			lls[h] = llLeaf{running: rng.Intn(3), free: uint64(100 * rng.Intn(3)), eligible: rng.Intn(4) > 0}
+			ll.update(h, lls[h].running, lls[h].free, lls[h].eligible)
+			warms[h] = warmLeaf{idle: uint64(rng.Intn(4)), eligible: rng.Intn(3) > 0}
+			warm.update(h, warms[h].idle, warms[h].eligible)
+
+			wantLL := -1
+			for i, l := range lls {
+				if l.eligible && (wantLL < 0 || l.running < lls[wantLL].running ||
+					(l.running == lls[wantLL].running && l.free > lls[wantLL].free)) {
+					wantLL = i
+				}
+			}
+			if got := ll.best(); got != wantLL {
+				t.Fatalf("%d hosts, step %d: llTree best = %d, scan = %d", hosts, step, got, wantLL)
+			}
+			wantWarm := -1
+			for i, w := range warms {
+				if w.eligible && (wantWarm < 0 || w.idle > warms[wantWarm].idle) {
+					wantWarm = i
+				}
+			}
+			if got := warm.best(); got != wantWarm {
+				t.Fatalf("%d hosts, step %d: warmTree best = %d, scan = %d", hosts, step, got, wantWarm)
+			}
+			if step%100 == 0 || hosts <= 64 {
+				checkTree8(t, ll.tree8, ll.nodes, func(c, best llNode) bool {
+					return c.host >= 0 && (best.host < 0 || c.running < best.running ||
+						(c.running == best.running && c.free > best.free))
+				})
+				checkTree8(t, warm.tree8, warm.nodes, func(c, best warmNode) bool {
+					return c.host >= 0 && (best.host < 0 || c.idle > best.idle)
+				})
+			}
+		}
+	}
+}
+
+// checkTree8 recomputes every internal node of a tree8 from its children
+// by a left-to-right scan keeping the first strictly better child, and
+// fails on any node that differs.
+func checkTree8[N comparable](t *testing.T, tr tree8, nodes []N, better func(c, best N) bool) {
+	t.Helper()
+	for l := 1; l < len(tr.off)-1; l++ {
+		for j := 0; j < tr.off[l+1]-tr.off[l]; j++ {
+			lo := tr.off[l-1] + 8*j
+			want := nodes[lo]
+			for _, c := range nodes[lo+1 : min(lo+8, tr.off[l])] {
+				if better(c, want) {
+					want = c
+				}
+			}
+			if got := nodes[tr.off[l]+j]; got != want {
+				t.Fatalf("level %d node %d = %+v, children's winner %+v", l, j, got, want)
+			}
+		}
+	}
+}

@@ -99,6 +99,56 @@ func TestSnapshotAliasingSafety(t *testing.T) {
 	}
 }
 
+// TestWarmRestoreMetersRunDelta pins the explicit-machine metering path
+// the fleet cost model uses: on a machine the caller holds, Restore right
+// after a run reports exactly what a second run's restore would (the
+// previous run's delta), strictly below the first run's full copy, and a
+// run restored onto the held machine stays bit-identical. No sync.Pool is
+// involved, so this holds under the race detector too.
+func TestWarmRestoreMetersRunDelta(t *testing.T) {
+	p, _ := workload.ByName("aes")
+	tr := workload.Generate(p)
+	for _, stack := range []Stack{Baseline, Memento} {
+		opt := Options{Stack: stack}
+		ws, err := PrepareWarm(config.Default(), tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := func() *Machine {
+			m, err := New(config.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return m
+		}
+		m1, m2 := held(), held()
+		r1, full, err := ws.RunOn(m1, tr, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", stack, err)
+		}
+		r2, runDelta, err := ws.RunOn(m1, tr, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", stack, err)
+		}
+		if _, _, err := ws.RunOn(m2, tr, opt); err != nil {
+			t.Fatalf("%v: %v", stack, err)
+		}
+		delta, err := ws.Restore(m2)
+		if err != nil {
+			t.Fatalf("%v: %v", stack, err)
+		}
+		if !reflect.DeepEqual(r1, r2) {
+			t.Fatalf("%v: runs on a held machine diverged", stack)
+		}
+		if delta != runDelta {
+			t.Errorf("%v: Restore metered %+v, a second run's restore %+v", stack, delta, runDelta)
+		}
+		if delta.RestoreBytes == 0 || delta.RestoreBytes >= full.RestoreBytes {
+			t.Errorf("%v: delta restore copied %d bytes, want in (0, %d)", stack, delta.RestoreBytes, full.RestoreBytes)
+		}
+	}
+}
+
 // TestSnapshotWarmDeltaBytes pins the point of delta restores: a recycled
 // machine's steady-state restore copies strictly less than the first full
 // restore, and both stay below the full checkpoint size, while results

@@ -164,12 +164,6 @@ func (w *WarmStart) Run(tr *trace.Trace, opt Options) (Result, error) {
 // is what makes massive warm fan-out cheap. The simulation result is
 // bit-identical either way.
 func (w *WarmStart) RunMetered(tr *trace.Trace, opt Options) (Result, RestoreStats, error) {
-	opt.Warm = nil
-	if k := warmKeyOf(w.cfg, tr, opt); k != w.key {
-		return Result{}, RestoreStats{}, simerr.WithRun(
-			fmt.Errorf("machine: warm start was prepared for a different setup: %w", simerr.ErrInvalidConfig),
-			tr.Name, opt.Stack.String(), -1)
-	}
 	var m *Machine
 	if v := w.pool.Get(); v != nil {
 		m = v.(*Machine)
@@ -180,11 +174,29 @@ func (w *WarmStart) RunMetered(tr *trace.Trace, opt Options) (Result, RestoreSta
 			return Result{}, RestoreStats{}, err
 		}
 	}
-	rs, err := m.RestoreMetered(w.msnap)
+	r, rs, err := w.RunOn(m, tr, opt)
+	if err == nil {
+		w.pool.Put(m)
+	}
+	return r, rs, err
+}
+
+// RunOn is RunMetered on a machine the caller holds instead of a pooled
+// one, so the caller decides what state the restore starts from: a fresh
+// machine meters a full copy, and one that last ran from this checkpoint
+// meters only that run's delta. m must be built from the checkpoint's
+// configuration. After a failed run m is in an undefined state.
+func (w *WarmStart) RunOn(m *Machine, tr *trace.Trace, opt Options) (Result, RestoreStats, error) {
+	opt.Warm = nil
+	if k := warmKeyOf(w.cfg, tr, opt); k != w.key {
+		return Result{}, RestoreStats{}, simerr.WithRun(
+			fmt.Errorf("machine: warm start was prepared for a different setup: %w", simerr.ErrInvalidConfig),
+			tr.Name, opt.Stack.String(), -1)
+	}
+	rs, err := w.Restore(m)
 	if err != nil {
 		return Result{}, RestoreStats{}, err
 	}
-	rs.add(w.psnap.restoreStats())
 	p, err := m.restoreProcess(tr, opt, w.psnap)
 	if err != nil {
 		return Result{}, rs, simerr.WithRun(err, tr.Name, opt.Stack.String(), -1)
@@ -193,11 +205,24 @@ func (w *WarmStart) RunMetered(tr *trace.Trace, opt Options) (Result, RestoreSta
 	if err != nil {
 		return Result{}, rs, err
 	}
-	// Detach per-run observation wiring before recycling the machine.
+	// Detach per-run observation wiring so m can be reused.
 	m.attachProbe(nil)
 	m.k.SetAllocHook(nil)
-	w.pool.Put(m)
 	return r, rs, nil
+}
+
+// Restore returns m's hardware state to the checkpoint and meters the
+// restore the way a run's would: the hardware bytes copied plus the
+// process snapshot's copy cost. It builds no process and replays nothing,
+// so restoring a machine right after a run reads that run's steady-state
+// delta without paying for another run.
+func (w *WarmStart) Restore(m *Machine) (RestoreStats, error) {
+	rs, err := m.RestoreMetered(w.msnap)
+	if err != nil {
+		return RestoreStats{}, err
+	}
+	rs.add(w.psnap.restoreStats())
+	return rs, nil
 }
 
 // warmRuns caches one WarmStart per setup key for the life of the process,
