@@ -6,11 +6,13 @@
 package memento
 
 import (
+	"runtime"
 	"testing"
 
 	"memento/internal/cache"
 	"memento/internal/config"
 	"memento/internal/dram"
+	"memento/internal/kernel"
 	"memento/internal/machine"
 	"memento/internal/tlb"
 	"memento/internal/workload"
@@ -131,5 +133,67 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 		k++
 	}); n != 0 {
 		t.Errorf("DRAM access allocates %v per op, want 0", n)
+	}
+}
+
+// TestTeardownFastForwardZeroAlloc pins the allocation-free teardown path:
+// the hierarchy's hit replay, and a steady-state warm munmap of a populated
+// VMA restored from a checkpoint, whose copy-on-write clears take their
+// private page-table nodes from the kernel's recycled ones.
+func TestTeardownFastForwardZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts allocation counts")
+	}
+	cfg := config.Default()
+	h := cache.NewHierarchy(cfg, dram.New(cfg.DRAM))
+	pas := []uint64{1 << 20, 2<<20 + 8, 3<<20 + 16, 4<<20 + 24}
+	for _, pa := range pas {
+		h.Access(pa, false)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, ok := h.RepeatHits(pas, 1<<3, 7); !ok {
+			panic("resident tuple refused")
+		}
+	}); n != 0 {
+		t.Errorf("Hierarchy.RepeatHits allocates %v per op, want 0", n)
+	}
+
+	k := kernel.New(cfg, h)
+	as, err := k.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 700 pages span two leaf tables; every other page is touched, so the
+	// VMA holds runs of present and of zero PTEs.
+	const length = 700 << config.PageShift
+	va, _, err := k.Mmap(as, length, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := uint64(0); off < length; off += 2 << config.PageShift {
+		if _, _, err := as.Walk((va + off) >> config.PageShift); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ks, hs, ass := k.Snapshot(), h.Snapshot(), as.Snapshot()
+	var before, after runtime.MemStats
+	var mallocs uint64
+	const warmup, runs = 3, 20
+	for i := 0; i < warmup+runs; i++ {
+		k.Restore(ks)
+		h.Restore(hs)
+		as := k.RestoreAddressSpace(ass)
+		runtime.ReadMemStats(&before)
+		_, err := k.Munmap(as, va, length)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i >= warmup {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	if mallocs != 0 {
+		t.Errorf("warm Munmap allocated %d times over %d runs, want 0", mallocs, runs)
 	}
 }

@@ -155,17 +155,61 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 	return false
 }
 
-// Contains probes without touching LRU or statistics.
-func (c *Cache) Contains(lineAddr uint64) bool {
+// find returns the index in lines of the resident copy of lineAddr, or -1,
+// probing the set's MRU way first. It touches no state.
+func (c *Cache) find(lineAddr uint64) int {
 	set, tag := c.indexTag(lineAddr)
 	want := tag | validBit
-	for _, w := range c.setOf(set) {
+	base := int(set) * c.ways
+	if i := base + int(c.mru[set]); c.lines[i].tagw&^dirtyBit == want {
+		return i
+	}
+	for i, w := range c.setOf(set) {
 		if w.tagw&^dirtyBit == want {
-			return true
+			return base + i
 		}
 	}
-	return false
+	return -1
 }
+
+// repeatHits applies rounds passes of the tuple pas (physical addresses),
+// in order, as the Lookup hits they are when every line is resident: tick
+// advances by rounds·len(pas), each line's lru becomes the tick of its
+// access in the last round, a write (bit j of writes) sets the dirty bit,
+// and mru and the dirty-set bitmap end as the sequential hits leave them.
+// Hits neither fill nor evict, so residency holds for every round once it
+// holds for the first. It reports false, changing nothing, when a line is
+// not resident.
+func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
+	for _, pa := range pas {
+		if c.find(pa>>config.LineShift) < 0 {
+			return false
+		}
+	}
+	n := uint64(len(pas))
+	if rounds == 0 || n == 0 {
+		return true
+	}
+	last := c.tick + (rounds-1)*n
+	for j, pa := range pas {
+		la := pa >> config.LineShift
+		i, set := c.find(la), la&c.setMask
+		c.lines[i].lru = last + uint64(j) + 1
+		if writes>>uint(j)&1 != 0 {
+			c.lines[i].tagw |= dirtyBit
+		}
+		c.mru[set] = int32(i - int(set)*c.ways)
+		c.dirty[set>>6] |= 1 << (set & 63)
+	}
+	c.tick += rounds * n
+	c.hits += rounds * n
+	c.memoOK = false
+	c.clean = false
+	return true
+}
+
+// Contains probes without touching LRU or statistics.
+func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
 
 // Insert places the line, evicting the LRU victim if the set is full.
 // It returns the evicted line address and whether the victim was dirty.
@@ -396,6 +440,22 @@ func (h *Hierarchy) Access(pa uint64, write bool) uint64 {
 	h.fillL2(la, false)
 	h.fillL1(la, write)
 	return cycles
+}
+
+// RepeatHits charges rounds repetitions of the access tuple pas (bit j of
+// writes marks pas[j] a write), exactly as rounds·len(pas) further Access
+// calls would when every line is L1-resident: all of them hit L1, which
+// updates L1 alone. It reports false, changing nothing, when a line is not
+// L1-resident; the caller then issues the accesses one by one. Teardown
+// uses it to fast-forward the identical page-table walks of a run of
+// unmapped VPNs (DESIGN.md §15).
+func (h *Hierarchy) RepeatHits(pas []uint64, writes, rounds uint64) (uint64, bool) {
+	if !h.L1D.repeatHits(pas, writes, rounds) {
+		return 0, false
+	}
+	n := rounds * uint64(len(pas))
+	h.stats.L1Hits += n
+	return n * h.l1Lat, true
 }
 
 // InstallZero instantiates a never-before-accessed line directly in the LLC

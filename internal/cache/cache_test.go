@@ -255,3 +255,114 @@ func TestHierarchyMonotoneTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sameCache reports the first difference between two levels' full state.
+func sameCache(a, b *Cache) string {
+	switch {
+	case a.tick != b.tick:
+		return "tick"
+	case a.hits != b.hits || a.misses != b.misses:
+		return "counters"
+	case a.clean != b.clean:
+		return "clean flag"
+	case a.memoOK != b.memoOK:
+		return "fill memo"
+	}
+	for i := range a.lines {
+		if a.lines[i] != b.lines[i] {
+			return "lines"
+		}
+	}
+	for i := range a.mru {
+		if a.mru[i] != b.mru[i] {
+			return "mru"
+		}
+	}
+	for i := range a.dirty {
+		if a.dirty[i] != b.dirty[i] {
+			return "dirty sets"
+		}
+	}
+	return ""
+}
+
+// TestRepeatHitsMatchesSequentialAccess checks the hit-replay fast path
+// against the per-access loop it stands for. Twin hierarchies see the same
+// random history; then one repeats a random tuple with RepeatHits and the
+// other issues rounds passes of Access. Cycles, Stats, every level's lines,
+// mru, tick and counters, and the delta-restore bytes must agree. A refused
+// replay (a line not L1-resident) must change nothing.
+func TestRepeatHitsMatchesSequentialAccess(t *testing.T) {
+	for _, ways := range []int{1, 2, 8} {
+		m := config.Default()
+		m.L1D.SizeBytes, m.L1D.Ways = 8*ways*config.LineSize, ways
+		m.L2.SizeBytes, m.L2.Ways = 32*4*config.LineSize, 4
+		m.LLC.SizeBytes, m.LLC.Ways = 64*8*config.LineSize, 8
+		rng := rand.New(rand.NewSource(int64(ways)))
+		fast, slow := 0, 0
+		for trial := 0; trial < 400; trial++ {
+			a := NewHierarchy(m, dram.New(m.DRAM))
+			b := NewHierarchy(m, dram.New(m.DRAM))
+			// A pool of lines spread over a few pages, so sets collide.
+			pool := make([]uint64, 24)
+			for i := range pool {
+				pool[i] = uint64(rng.Intn(8))<<config.PageShift | uint64(rng.Intn(64))<<config.LineShift
+			}
+			history := func(n int) {
+				for i := 0; i < n; i++ {
+					pa := pool[rng.Intn(len(pool))] + uint64(rng.Intn(8))*8
+					w := rng.Intn(3) == 0
+					a.Access(pa, w)
+					b.Access(pa, w)
+				}
+			}
+			history(rng.Intn(60))
+			sa, sb := a.Snapshot(), b.Snapshot()
+			history(rng.Intn(20))
+
+			pas := make([]uint64, rng.Intn(9))
+			for j := range pas {
+				pas[j] = pool[rng.Intn(len(pool))] + uint64(rng.Intn(8))*8
+			}
+			writes := uint64(rng.Intn(1 << len(pas)))
+			rounds := uint64(rng.Intn(12))
+			resident := true
+			for _, pa := range pas {
+				resident = resident && b.L1D.Contains(pa>>config.LineShift)
+			}
+
+			got, ok := a.RepeatHits(pas, writes, rounds)
+			if ok != resident {
+				t.Fatalf("ways=%d trial %d: RepeatHits ok=%v, all L1-resident=%v", ways, trial, ok, resident)
+			}
+			var want uint64
+			if ok {
+				fast++
+				for r := uint64(0); r < rounds; r++ {
+					for j, pa := range pas {
+						want += b.Access(pa, writes>>uint(j)&1 != 0)
+					}
+				}
+			} else {
+				slow++
+			}
+			if got != want {
+				t.Fatalf("ways=%d trial %d: cycles %d, sequential %d", ways, trial, got, want)
+			}
+			if a.Stats() != b.Stats() {
+				t.Fatalf("ways=%d trial %d: stats %+v, sequential %+v", ways, trial, a.Stats(), b.Stats())
+			}
+			for _, lv := range [][2]*Cache{{a.L1D, b.L1D}, {a.L2, b.L2}, {a.LLC, b.LLC}} {
+				if d := sameCache(lv[0], lv[1]); d != "" {
+					t.Fatalf("ways=%d trial %d: %s differs in %s", ways, trial, lv[0].cfg.Name, d)
+				}
+			}
+			if ra, rb := a.Restore(sa), b.Restore(sb); ra != rb {
+				t.Fatalf("ways=%d trial %d: delta restore copied %d bytes, sequential %d", ways, trial, ra, rb)
+			}
+		}
+		if fast == 0 || slow == 0 {
+			t.Fatalf("ways=%d: %d fast-forwarded and %d refused tuples; want both", ways, fast, slow)
+		}
+	}
+}

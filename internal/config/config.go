@@ -333,7 +333,8 @@ func (m Machine) Validate() error {
 }
 
 // InstrCycles converts an instruction count to cycles under the cost model.
-func (m Machine) InstrCycles(instrs int) uint64 {
+// The pointer receiver keeps hot callers from copying the whole Machine.
+func (m *Machine) InstrCycles(instrs int) uint64 {
 	if instrs <= 0 {
 		return 0
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"memento/internal/config"
 	"memento/internal/kernel"
@@ -13,6 +14,12 @@ import (
 // through it.
 type Mem interface {
 	Access(pa uint64, write bool) uint64
+}
+
+// hitRepeater is the cache hierarchy's fast path for repeating an access
+// tuple whose lines are all L1-resident (cache.Hierarchy.RepeatHits).
+type hitRepeater interface {
+	RepeatHits(pas []uint64, writes, rounds uint64) (uint64, bool)
 }
 
 // ErrRegionExhausted is returned when a size-class stripe runs out of
@@ -93,16 +100,53 @@ type mptNode struct {
 const mptLevels = 4
 const mptFanout = 512
 
+// mptLeaves and mptDirs recycle private Memento table nodes, so a warm
+// invocation's table churn reuses 4 KiB entry arrays instead of allocating
+// them. Release hands back the private nodes of a torn-down table; a
+// private node has one parent and no snapshot holds it, so once the table
+// is dropped nothing can reach it. Snapshot-frozen (shared) nodes are never
+// recycled, since other snapshots and machines may still read them. A
+// PageAllocator lives for one process, so the pools are per package.
+var (
+	mptLeaves = sync.Pool{New: func() any { return &mptNode{pte: make([]uint64, mptFanout)} }}
+	mptDirs   = sync.Pool{New: func() any { return &mptNode{children: make([]*mptNode, mptFanout)} }}
+)
+
+// getMPT returns a private node of the given kind; its entries are stale.
+func getMPT(leaf bool) *mptNode {
+	if leaf {
+		return mptLeaves.Get().(*mptNode)
+	}
+	return mptDirs.Get().(*mptNode)
+}
+
+// putMPT recycles n unless it is shared.
+func putMPT(n *mptNode) {
+	switch {
+	case n.shared:
+	case n.pte != nil:
+		mptLeaves.Put(n)
+	default:
+		mptDirs.Put(n)
+	}
+}
+
+// freshMPT returns an empty private node backed by frame pfn.
+func freshMPT(pfn uint64, leaf bool) *mptNode {
+	n := getMPT(leaf)
+	n.pfn = pfn
+	clear(n.pte)
+	clear(n.children)
+	return n
+}
+
 // cloneMPTShallow returns a private copy of n: same pfn and entries, child
 // pointers still aliasing the (shared) originals.
 func cloneMPTShallow(n *mptNode) *mptNode {
-	c := &mptNode{pfn: n.pfn}
-	if n.children != nil {
-		c.children = append([]*mptNode(nil), n.children...)
-	}
-	if n.pte != nil {
-		c.pte = append([]uint64(nil), n.pte...)
-	}
+	c := getMPT(n.pte != nil)
+	c.pfn = n.pfn
+	copy(c.pte, n.pte)
+	copy(c.children, n.children)
 	return c
 }
 
@@ -171,6 +215,10 @@ type PageAllocator struct {
 	// entry point so an unchanged re-Snapshot is an O(1) handle reuse.
 	base    *PageAllocSnapshot
 	mutated bool
+	// rep is mem's hit-replay fast path, nil when mem lacks it (test
+	// fakes); acc holds the access tuple of the teardown run in flight.
+	rep hitRepeater
+	acc [mptLevels]uint64
 }
 
 // SetAllocHook attaches a fault-injection hook to the pool (nil detaches).
@@ -194,6 +242,7 @@ func NewPageAllocator(cfg config.Machine, layout *Layout, mem Mem, k *kernel.Ker
 		bump:     make([]uint64, layout.Classes()),
 		aacSlots: make([]int, cfg.Memento.AAC.Entries),
 	}
+	p.rep, _ = mem.(hitRepeater)
 	for c := range p.bump {
 		p.bump[c] = layout.StripeStart(c)
 	}
@@ -330,13 +379,7 @@ func (p *PageAllocator) installMapping(vpn, frame uint64) (uint64, error) {
 		cycles += p.cfg.Cost.MementoPageWalkServiceCycles
 		p.stats.TablePages++
 		p.k.CountKernelPage(1)
-		n := &mptNode{pfn: f}
-		if leaf {
-			n.pte = make([]uint64, mptFanout)
-		} else {
-			n.children = make([]*mptNode, mptFanout)
-		}
-		return n, nil
+		return freshMPT(f, leaf), nil
 	}
 	if p.root == nil {
 		n, err := newNode(false)
@@ -451,24 +494,100 @@ func (p *PageAllocator) FreeArena(a *Arena) uint64 {
 	p.mutated = true
 	var cycles uint64
 	startVPN := a.BaseVA >> config.PageShift
-	pages := p.layout.ArenaPages(a.Class)
-	for i := uint64(0); i < pages; i++ {
-		vpn := startVPN + i
-		frame, c, mapped := p.clear(vpn)
-		cycles += c
-		if !mapped {
-			continue
+	endVPN := startVPN + p.layout.ArenaPages(a.Class)
+	// The same run walk as the kernel's munmap (DESIGN.md §15): a run's
+	// first VPN is cleared through mem, the rest fast-forward as L1 hits
+	// when the hierarchy can, else they are cleared one by one.
+	for vpn := startVPN; vpn < endVPN; {
+		n, m, leaf := p.nextRun(vpn, endVPN)
+		next := vpn + n
+		cycles += p.clearOne(vpn)
+		vpn++
+		if vpn < next && p.rep != nil {
+			var writes uint64
+			if leaf != nil {
+				writes = 1 << (m - 1)
+			}
+			if c, ok := p.rep.RepeatHits(p.acc[:m], writes, next-vpn); ok {
+				cycles += c
+				if leaf != nil && leaf.shared {
+					// The first clear privatized the path.
+					leaf = p.ownPath(vpn)
+				}
+				for ; leaf != nil && vpn < next; vpn++ {
+					e := &leaf.pte[vpn&(mptFanout-1)]
+					frame := *e - 1
+					*e = 0
+					p.reclaim(vpn, frame)
+				}
+				vpn = next
+			}
 		}
-		p.pool = append(p.pool, frame)
-		p.stats.PagesReclaimed++
-		p.residentPages--
-		if p.Shootdown != nil && p.shootdownVec != 0 {
-			p.Shootdown(vpn)
-			p.stats.Shootdowns++
+		for ; vpn < next; vpn++ {
+			cycles += p.clearOne(vpn)
 		}
 	}
 	p.stats.ArenaFrees++
 	return cycles
+}
+
+// clearOne is the per-VPN reference for FreeArena: the PTE clear through
+// mem, then the page's reclamation. It returns the cycles.
+func (p *PageAllocator) clearOne(vpn uint64) uint64 {
+	frame, c, mapped := p.clear(vpn)
+	if mapped {
+		p.reclaim(vpn, frame)
+	}
+	return c
+}
+
+// reclaim returns a cleared PTE's frame to the pool and shoots down its
+// translation on the cores that walked this table.
+func (p *PageAllocator) reclaim(vpn, frame uint64) {
+	p.pool = append(p.pool, frame)
+	p.stats.PagesReclaimed++
+	p.residentPages--
+	if p.Shootdown != nil && p.shootdownVec != 0 {
+		p.Shootdown(vpn)
+		p.stats.Shootdowns++
+	}
+}
+
+// mptPTEsPerLine is the number of PTEs in one 64-byte cache line.
+const mptPTEsPerLine = config.LineSize / 8
+
+// nextRun measures the FreeArena run at vpn (< end), as the kernel's page
+// table does: the n consecutive VPNs whose clear issues the same accesses
+// with the same outcome, written to p.acc[:m], and the run's leaf when its
+// PTEs are present. Host bookkeeping only.
+func (p *PageAllocator) nextRun(vpn, end uint64) (n uint64, m int, leaf *mptNode) {
+	node := p.root
+	if node == nil {
+		return end - vpn, 0, nil
+	}
+	for level := mptLevels - 1; level >= 1; level-- {
+		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
+		p.acc[m] = node.pfn<<config.PageShift + idx*8
+		m++
+		if node = node.children[idx]; node == nil {
+			shift := uint(9 * level)
+			return min(end, (vpn>>shift+1)<<shift) - vpn, m, nil
+		}
+	}
+	idx := vpn & (mptFanout - 1)
+	lim := min(end-vpn, mptFanout-idx)
+	present := node.pte[idx] != 0
+	if present {
+		p.acc[m] = node.pfn<<config.PageShift + idx*8
+		m++
+		lim = min(lim, mptPTEsPerLine-idx%mptPTEsPerLine)
+		leaf = node
+	}
+	n = 1
+	for n < lim && (node.pte[idx+n] != 0) == present {
+		n++
+	}
+	return n, m, leaf
 }
 
 // clear invalidates the PTE for vpn, returning the frame it held.
@@ -538,6 +657,7 @@ func (p *PageAllocator) Release() error {
 			}
 		}
 		frames = append(frames, n.pfn)
+		putMPT(n)
 	}
 	collect(p.root)
 	p.root = nil
@@ -546,6 +666,9 @@ func (p *PageAllocator) Release() error {
 
 // Stats returns a copy of the counters.
 func (p *PageAllocator) Stats() PageAllocStats { return p.stats }
+
+// BackingCycles returns Stats().BackingCycles without copying the stats.
+func (p *PageAllocator) BackingCycles() uint64 { return p.stats.BackingCycles }
 
 // PoolSize returns the current free-pool depth.
 func (p *PageAllocator) PoolSize() int { return len(p.pool) }

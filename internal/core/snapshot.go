@@ -114,6 +114,7 @@ func (p *PageAllocator) Restore(s *PageAllocSnapshot) uint64 {
 // The caller wires Shootdown and any alloc hook afterwards.
 func RestorePageAllocator(cfg config.Machine, layout *Layout, mem Mem, k *kernel.Kernel, s *PageAllocSnapshot) *PageAllocator {
 	p := &PageAllocator{cfg: cfg, layout: layout, mem: mem, k: k}
+	p.rep, _ = mem.(hitRepeater)
 	p.Restore(s)
 	return p
 }

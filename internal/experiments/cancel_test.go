@@ -4,21 +4,17 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"memento/internal/config"
 )
 
 // TestPairsContextCancelDoesNotLatch pins the mementod cancellation
 // contract: a cancelled sweep returns context.Canceled, does NOT latch
 // the suite's memo, and the same suite completes normally afterwards.
 func TestPairsContextCancelDoesNotLatch(t *testing.T) {
-	s := NewSuite(config.Default(), WithWorkers(2))
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the sweep starts: fast, deterministic
-	if _, err := s.PairsContext(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PairsContext on dead ctx = %v, want context.Canceled", err)
+	p := secondSuite()
+	if !errors.Is(p.deadErr, context.Canceled) {
+		t.Fatalf("PairsContext on dead ctx = %v, want context.Canceled", p.deadErr)
 	}
+	s := p.s
 
 	// The suite must still be reusable: a fresh call runs the sweep.
 	pairs, err := s.Pairs()
@@ -46,26 +42,23 @@ func TestPairsContextCancelDoesNotLatch(t *testing.T) {
 // same way: cancellation surfaces context.Canceled and leaves the memo
 // unlatched for the next caller.
 func TestColdAndMallaccCancelDoesNotLatch(t *testing.T) {
-	s := NewSuite(config.Default(), WithWorkers(2))
 	// Complete the base sweep first so only the derived runs remain.
-	if _, err := s.Pairs(); err != nil {
+	if _, err := sharedSuite.Pairs(); err != nil {
 		t.Fatal(err)
 	}
 
-	dead, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	if _, err := s.ColdStartsContext(dead); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ColdStartsContext = %v, want context.Canceled", err)
+	coldErr, mallaccErr := sharedDeadDerived()
+	if !errors.Is(coldErr, context.Canceled) {
+		t.Fatalf("ColdStartsContext = %v, want context.Canceled", coldErr)
 	}
-	if runs, err := s.ColdStarts(); err != nil || len(runs) == 0 {
+	if runs, err := sharedSuite.ColdStarts(); err != nil || len(runs) == 0 {
 		t.Fatalf("ColdStarts after cancelled attempt: %d runs, err %v", len(runs), err)
 	}
 
-	if _, err := s.MallaccRunsContext(dead); !errors.Is(err, context.Canceled) {
-		t.Fatalf("MallaccRunsContext = %v, want context.Canceled", err)
+	if !errors.Is(mallaccErr, context.Canceled) {
+		t.Fatalf("MallaccRunsContext = %v, want context.Canceled", mallaccErr)
 	}
-	if runs, err := s.MallaccRuns(); err != nil || len(runs) == 0 {
+	if runs, err := sharedSuite.MallaccRuns(); err != nil || len(runs) == 0 {
 		t.Fatalf("MallaccRuns after cancelled attempt: %d runs, err %v", len(runs), err)
 	}
 }
@@ -77,13 +70,12 @@ func TestWithProgressStreamsExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full evaluation sweep")
 	}
-	var got []string
-	s := NewSuite(config.Default(),
-		WithProgress(func(e Experiment) { got = append(got, e.ID) }))
-	exps, err := s.All(context.Background())
+	// sharedSuite carries the recording hook; sharedAll is its one All.
+	exps, err := sharedAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := sharedProgress
 	if len(got) != len(exps) {
 		t.Fatalf("progress saw %d experiments, All returned %d", len(got), len(exps))
 	}
@@ -98,17 +90,9 @@ func TestWithProgressStreamsExperiments(t *testing.T) {
 // checks the workers wind down and report context.Canceled rather than a
 // partial result.
 func TestMidSweepCancel(t *testing.T) {
-	s := NewSuite(config.Default(), WithWorkers(2), WithProgress(nil))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	var pairs map[string]*Pair
-	var err error
-	go func() {
-		defer close(done)
-		pairs, err = s.PairsContext(ctx)
-	}()
-	cancel()
-	<-done
+	// secondSuite made the cancelled call; see cancelProbes.
+	p := secondSuite()
+	s, pairs, err := p.s, p.midPairs, p.midErr
 	if err == nil {
 		// The sweep may legitimately win the race and complete; then the
 		// memo must hold a full result.

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"testing"
-
-	"memento/internal/config"
-)
+import "testing"
 
 // TestParallelSweepIsDeterministic: the suite fans the 23x3 sweep across
 // goroutines; results must not depend on scheduling, since every machine
@@ -13,16 +9,16 @@ func TestParallelSweepIsDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full sweeps")
 	}
-	render := func() string {
-		s := NewSuite(config.Default())
+	render := func(s *Suite) string {
 		e, err := Fig8Speedup(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e.Render()
 	}
-	a := render()
-	b := render()
+	// Two independent parallel sweeps: the package's two suites.
+	a := render(sharedSuite)
+	b := render(secondSuite().s)
 	if a != b {
 		t.Fatalf("sweep output differs across runs:\n%s\n---\n%s", a, b)
 	}

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"memento/internal/config"
@@ -10,8 +12,77 @@ import (
 )
 
 // sharedSuite is computed once for the whole test package: the full
-// 23-workload, 3-stack sweep.
-var sharedSuite = NewSuite(config.Default())
+// 23-workload, 3-stack sweep. Its progress hook records the experiments
+// sharedAll's run of All reports.
+var sharedSuite = NewSuite(config.Default(),
+	WithProgress(func(e Experiment) { sharedProgress = append(sharedProgress, e.ID) }))
+
+// sharedProgress is what sharedSuite's progress hook saw; only All calls
+// the hook, and only sharedAll calls sharedSuite.All.
+var sharedProgress []string
+
+// sharedAll runs sharedSuite.All once for every test that needs the full
+// experiment list: under the race detector each run of All costs minutes.
+var sharedAll = sync.OnceValues(func() ([]Experiment, error) {
+	sharedDeadDerived()
+	return sharedSuite.All(context.Background())
+})
+
+// sharedDeadDerived makes sharedSuite's first cold-start and Mallacc calls,
+// with a dead context, before anything can latch those memos, and returns
+// their errors for TestColdAndMallaccCancelDoesNotLatch; the live calls
+// after it then compute each study once for every test.
+var sharedDeadDerived = sync.OnceValues(func() (coldErr, mallaccErr error) {
+	dead, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, coldErr = sharedSuite.ColdStartsContext(dead)
+	_, mallaccErr = sharedSuite.MallaccRunsContext(dead)
+	return coldErr, mallaccErr
+})
+
+// cancelProbes is the one suite besides sharedSuite that sweeps, with the
+// results of its first two sweep calls, both cancelled: deadErr for a
+// context cancelled before the call (TestPairsContextCancelDoesNotLatch),
+// midPairs and midErr for one cancelled while the fan-out starts
+// (TestMidSweepCancel). TestParallelSweepIsDeterministic compares the
+// suite's completed sweep with sharedSuite's.
+type cancelProbes struct {
+	s        *Suite
+	deadErr  error
+	midPairs map[string]*Pair
+	midErr   error
+}
+
+var secondSuite = sync.OnceValue(func() cancelProbes {
+	p := cancelProbes{s: NewSuite(config.Default(), WithWorkers(2))}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // cancelled before the sweep starts: fast, deterministic
+	_, p.deadErr = p.s.PairsContext(ctx)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.midPairs, p.midErr = p.s.PairsContext(ctx)
+	}()
+	cancel()
+	<-done
+	return p
+})
+
+// sharedExperiments returns sharedAll's experiments by ID.
+func sharedExperiments(t *testing.T) map[string]Experiment {
+	t.Helper()
+	exps, err := sharedAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]Experiment{}
+	for _, e := range exps {
+		byID[e.ID] = e
+	}
+	return byID
+}
 
 func TestFig2(t *testing.T) {
 	e := Fig2AllocationSizes(sharedSuite)

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -103,7 +102,7 @@ func TestSuiteExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	exps, err := sharedSuite.All(context.Background())
+	exps, err := sharedAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,8 @@ func TestExtensionEphemeralGC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs")
 	}
-	e, err := ExtensionEphemeralGC(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// All renders ExtensionEphemeralGC(sharedSuite); reuse that run.
+	e := sharedExperiments(t)["ext-ephemeral-gc"]
 	if len(e.Rows) != 4 {
 		t.Fatalf("rows = %d, want 3 platform ops + average", len(e.Rows))
 	}
@@ -42,14 +40,8 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs")
 	}
-	exps, err := Ablations(sharedSuite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byID := map[string]Experiment{}
-	for _, e := range exps {
-		byID[e.ID] = e
-	}
+	// All renders Ablations(sharedSuite); reuse that run.
+	byID := sharedExperiments(t)
 	// Bypass must contribute measurable speedup and traffic savings.
 	b := byID["abl-bypass"]
 	on, off := cell(t, b.Rows[0][1]), cell(t, b.Rows[1][1])

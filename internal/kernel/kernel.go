@@ -160,6 +160,22 @@ type Kernel struct {
 	// base is the machine-wide snapshot handle reused while nothing changes
 	// (see snapshot.go).
 	base *Snapshot
+	// rep is mem's hit-replay fast path, nil when mem lacks it (test fakes).
+	rep hitRepeater
+	// acc holds the access tuple of the teardown run in flight; owning it
+	// keeps the tuple off the heap when it crosses the rep interface.
+	acc [ptLevels]uint64
+	// nodes recycles the private page-table nodes reapEmpty frees.
+	nodes ptFree
+	// munmapPageCycles and buddyFreeCycles are the per-page instruction
+	// costs of unmapping, fixed by the configuration.
+	munmapPageCycles, buddyFreeCycles uint64
+}
+
+// hitRepeater is the cache hierarchy's fast path for repeating an access
+// tuple whose lines are all L1-resident (cache.Hierarchy.RepeatHits).
+type hitRepeater interface {
+	RepeatHits(pas []uint64, writes, rounds uint64) (uint64, bool)
 }
 
 // SetProbe attaches a telemetry probe (nil detaches).
@@ -201,15 +217,23 @@ func New(cfg config.Machine, mem Mem) *Kernel {
 	if max := uint64(4 << 30 >> config.PageShift); frames > max {
 		frames = max
 	}
+	rep, _ := mem.(hitRepeater)
 	return &Kernel{
 		cfg:   cfg,
 		mem:   mem,
 		buddy: NewBuddy(firstUsableFrame, frames-firstUsableFrame),
+		rep:   rep,
+
+		munmapPageCycles: cfg.InstrCycles(cfg.Cost.MunmapPerPageInstrs),
+		buddyFreeCycles:  cfg.InstrCycles(cfg.Cost.BuddyFreeInstrs),
 	}
 }
 
 // Stats returns a copy of the counters.
 func (k *Kernel) Stats() Stats { return k.stats }
+
+// KernelMMCycles returns Stats().KernelMMCycles() without copying Stats.
+func (k *Kernel) KernelMMCycles() uint64 { return k.stats.KernelMMCycles() }
 
 // FreeFrames exposes remaining physical memory.
 func (k *Kernel) FreeFrames() uint64 { return k.buddy.FreeFrames() }
@@ -225,7 +249,7 @@ func (k *Kernel) NewAddressSpace() (*AddressSpace, error) {
 	k.stats.KernelPagesAllocated++
 	return &AddressSpace{
 		k:         k,
-		pt:        &PageTable{},
+		pt:        &PageTable{nodes: &k.nodes},
 		cursor:    mmapBaseVPN,
 		metaFrame: frame,
 	}, nil
@@ -387,23 +411,50 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 	cycles += k.cfg.InstrCycles(k.cfg.Cost.MunmapBaseInstrs)
 	cycles += as.vmaAccess(6, true)
 
-	for vpn := startVPN; vpn < startVPN+pages; vpn++ {
-		pfn, c, present := as.pt.clear(vpn, k.mem)
+	// Walk the range in runs (DESIGN.md §15). A run's first VPN is cleared
+	// through mem as before; the others repeat its accesses, which the
+	// hierarchy fast-forwards as L1 hits when it can, leaving only their
+	// side effects, in order. Otherwise they are cleared one by one.
+	endVPN := startVPN + pages
+	for vpn := startVPN; vpn < endVPN; {
+		n, m, leaf := as.pt.nextRun(vpn, endVPN, &k.acc)
+		next := vpn + n
+		c, err := k.clearOne(as, vpn)
 		cycles += c
-		if !present {
-			continue
-		}
-		cycles += k.cfg.InstrCycles(k.cfg.Cost.MunmapPerPageInstrs)
-		if err := k.buddy.Free(pfn); err != nil {
+		if err != nil {
 			return cycles, err
 		}
-		cycles += k.cfg.InstrCycles(k.cfg.Cost.BuddyFreeInstrs)
-		as.residentPages--
-		// Count only dispatched shootdowns, keeping this counter equal to
-		// the TLB system's receive-side Stats().Shootdowns.
-		if as.Shootdown != nil {
-			as.Shootdown(vpn)
-			k.stats.Shootdowns++
+		vpn++
+		if vpn < next && k.rep != nil {
+			var writes uint64
+			if leaf != nil {
+				writes = 1 << (m - 1)
+			}
+			if c, ok := k.rep.RepeatHits(k.acc[:m], writes, next-vpn); ok {
+				cycles += c
+				if leaf != nil && leaf.shared {
+					// The first clear privatized the path.
+					leaf = as.pt.ownPath(vpn)
+				}
+				for ; leaf != nil && vpn < next; vpn++ {
+					e := &leaf.pte[ptIndex(vpn, 0)]
+					pfn := *e - 1
+					*e = 0
+					c, err := k.unmapPage(as, vpn, pfn)
+					cycles += c
+					if err != nil {
+						return cycles, err
+					}
+				}
+				vpn = next
+			}
+		}
+		for ; vpn < next; vpn++ {
+			c, err := k.clearOne(as, vpn)
+			cycles += c
+			if err != nil {
+				return cycles, err
+			}
 		}
 	}
 	_, reapCycles := k.reapEmpty(as.pt)
@@ -416,6 +467,33 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 		k.probe.Count(telemetry.CtrMunmap, 1, cycles)
 	}
 	return cycles, nil
+}
+
+// clearOne is the per-VPN reference for Munmap: the PTE clear through mem,
+// then the page's side effects. It returns the cycles.
+func (k *Kernel) clearOne(as *AddressSpace, vpn uint64) (uint64, error) {
+	pfn, c, present := as.pt.clear(vpn, k.mem)
+	if !present {
+		return c, nil
+	}
+	u, err := k.unmapPage(as, vpn, pfn)
+	return c + u, err
+}
+
+// unmapPage returns a cleared PTE's frame to the buddy allocator and shoots
+// down its translation, returning the per-page instruction cycles.
+func (k *Kernel) unmapPage(as *AddressSpace, vpn, pfn uint64) (uint64, error) {
+	if err := k.buddy.Free(pfn); err != nil {
+		return k.munmapPageCycles, err
+	}
+	as.residentPages--
+	// Count only dispatched shootdowns, keeping this counter equal to the
+	// TLB system's receive-side Stats().Shootdowns.
+	if as.Shootdown != nil {
+		as.Shootdown(vpn)
+		k.stats.Shootdowns++
+	}
+	return k.munmapPageCycles + k.buddyFreeCycles, nil
 }
 
 // ReleaseAll tears down every mapping in the address space — the OS

@@ -38,16 +38,61 @@ type ptNode struct {
 	shared   bool
 }
 
-// clonePTShallow returns a private copy of n: same pfn and entries, child
-// pointers still aliasing the (shared) originals.
-func clonePTShallow(n *ptNode) *ptNode {
-	c := &ptNode{pfn: n.pfn}
-	if n.children != nil {
-		c.children = append([]*ptNode(nil), n.children...)
+// ptFree recycles private page-table nodes, so a warm invocation's table
+// churn reuses 4 KiB entry arrays instead of allocating them. A private node
+// that reapEmpty unlinks is unreachable: it has one parent and no snapshot
+// holds it. Snapshot-frozen (shared) nodes are never recycled, since other
+// snapshots and machines may still read them. Each Kernel owns one, so no
+// locking is needed.
+type ptFree struct {
+	leaves, dirs []*ptNode
+}
+
+// put recycles n unless it is shared.
+func (f *ptFree) put(n *ptNode) {
+	switch {
+	case n.shared:
+	case n.pte != nil:
+		f.leaves = append(f.leaves, n)
+	default:
+		f.dirs = append(f.dirs, n)
 	}
-	if n.pte != nil {
-		c.pte = append([]uint64(nil), n.pte...)
+}
+
+// get returns a private node of the given kind; its entries are stale.
+func (f *ptFree) get(leaf bool) *ptNode {
+	l := &f.dirs
+	if leaf {
+		l = &f.leaves
 	}
+	if i := len(*l) - 1; i >= 0 {
+		n := (*l)[i]
+		(*l)[i] = nil
+		*l = (*l)[:i]
+		return n
+	}
+	if leaf {
+		return &ptNode{pte: make([]uint64, ptFanout)}
+	}
+	return &ptNode{children: make([]*ptNode, ptFanout)}
+}
+
+// fresh returns an empty private node backed by frame pfn.
+func (f *ptFree) fresh(pfn uint64, leaf bool) *ptNode {
+	n := f.get(leaf)
+	n.pfn = pfn
+	clear(n.pte)
+	clear(n.children)
+	return n
+}
+
+// clone returns a private copy of n: same pfn and entries, child pointers
+// still aliasing the (shared) originals.
+func (f *ptFree) clone(n *ptNode) *ptNode {
+	c := f.get(n.pte != nil)
+	c.pfn = n.pfn
+	copy(c.pte, n.pte)
+	copy(c.children, n.children)
 	return c
 }
 
@@ -81,6 +126,8 @@ func countPTBytes(n *ptNode) uint64 {
 // frames, so walks and edits produce memory traffic at the right addresses.
 type PageTable struct {
 	root *ptNode
+	// nodes is the owning kernel's node recycler.
+	nodes *ptFree
 	// tablePages counts allocated page-table pages (kernel memory, Fig 11).
 	tablePages uint64
 }
@@ -95,12 +142,7 @@ func (k *Kernel) newPTNode(leaf bool) (*ptNode, uint64, error) {
 	}
 	cycles := k.cfg.InstrCycles(k.cfg.Cost.BuddyAllocInstrs)
 	cycles += k.zeroPage(frame)
-	n := &ptNode{pfn: frame}
-	if leaf {
-		n.pte = make([]uint64, ptFanout)
-	} else {
-		n.children = make([]*ptNode, ptFanout)
-	}
+	n := k.nodes.fresh(frame, leaf)
 	k.stats.KernelPagesAllocated++
 	k.stats.PageTablePages++
 	return n, cycles, nil
@@ -170,7 +212,7 @@ func (k *Kernel) install(pt *PageTable, vpn, pfn uint64) (uint64, error) {
 		pt.root = n
 		cycles += c
 	} else if pt.root.shared {
-		pt.root = clonePTShallow(pt.root)
+		pt.root = k.nodes.clone(pt.root)
 	}
 	node := pt.root
 	for level := ptLevels - 1; level >= 1; level-- {
@@ -190,7 +232,7 @@ func (k *Kernel) install(pt *PageTable, vpn, pfn uint64) (uint64, error) {
 			// Copy-on-write: privatize the path before the PTE write below.
 			// Host-side bookkeeping only — the simulated frame is unchanged,
 			// so no cycles are charged.
-			node.children[idx] = clonePTShallow(node.children[idx])
+			node.children[idx] = k.nodes.clone(node.children[idx])
 		}
 		node = node.children[idx]
 	}
@@ -232,17 +274,57 @@ func (pt *PageTable) clear(vpn uint64, mem Mem) (pfn uint64, cycles uint64, ok b
 	return pfn, cycles, true
 }
 
+// ptesPerLine is the number of PTEs in one 64-byte cache line.
+const ptesPerLine = config.LineSize / 8
+
+// nextRun measures the teardown run at vpn (< end): the n consecutive VPNs
+// whose clear issues the same accesses with the same outcome. It writes
+// those accesses to acc[:m] (the walk's reads, then the PTE write when the
+// run's PTEs are present) and returns the run's leaf when they are. A run
+// is the VPNs under one missing table, up to the end of that entry's
+// block; or a run of zero PTEs in one leaf; or present PTEs within one
+// 64-byte PTE line. Host bookkeeping only: nothing is charged or changed.
+func (pt *PageTable) nextRun(vpn, end uint64, acc *[ptLevels]uint64) (n uint64, m int, leaf *ptNode) {
+	node := pt.root
+	if node == nil {
+		return end - vpn, 0, nil
+	}
+	for level := ptLevels - 1; level >= 1; level-- {
+		idx := ptIndex(vpn, level)
+		acc[m] = node.pfn<<config.PageShift + idx*8
+		m++
+		if node = node.children[idx]; node == nil {
+			shift := uint(9 * level)
+			return min(end, (vpn>>shift+1)<<shift) - vpn, m, nil
+		}
+	}
+	idx := ptIndex(vpn, 0)
+	lim := min(end-vpn, ptFanout-idx)
+	present := node.pte[idx] != 0
+	if present {
+		acc[m] = node.pfn<<config.PageShift + idx*8
+		m++
+		lim = min(lim, ptesPerLine-idx%ptesPerLine)
+		leaf = node
+	}
+	n = 1
+	for n < lim && (node.pte[idx+n] != 0) == present {
+		n++
+	}
+	return n, m, leaf
+}
+
 // ownPath privatizes every node on vpn's walk path, cloning shared nodes,
 // and returns the (now private) leaf. Callers must know the path exists.
 func (pt *PageTable) ownPath(vpn uint64) *ptNode {
 	if pt.root.shared {
-		pt.root = clonePTShallow(pt.root)
+		pt.root = pt.nodes.clone(pt.root)
 	}
 	node := pt.root
 	for level := ptLevels - 1; level >= 1; level-- {
 		idx := ptIndex(vpn, level)
 		if node.children[idx].shared {
-			node.children[idx] = clonePTShallow(node.children[idx])
+			node.children[idx] = pt.nodes.clone(node.children[idx])
 		}
 		node = node.children[idx]
 	}
@@ -251,7 +333,8 @@ func (pt *PageTable) ownPath(vpn uint64) *ptNode {
 
 // reapEmpty frees page-table pages that no longer contain any valid entry,
 // as munmap does when "relevant page tables become empty" (Section 2.1).
-// It returns the number of table pages freed and the cycle cost.
+// It returns the number of table pages freed and the cycle cost. Freed
+// private nodes are recycled (see ptFree).
 func (k *Kernel) reapEmpty(pt *PageTable) (freed uint64, cycles uint64) {
 	if pt.root == nil {
 		return 0, 0
@@ -283,10 +366,11 @@ func (k *Kernel) reapEmpty(pt *PageTable) (freed uint64, cycles uint64) {
 				if err := k.buddy.Free(nc.pfn); err == nil {
 					freed++
 					k.stats.PageTablePages--
-					cycles += k.cfg.InstrCycles(k.cfg.Cost.BuddyFreeInstrs)
+					cycles += k.buddyFreeCycles
 				}
+				k.nodes.put(nc)
 				if n.shared {
-					n = clonePTShallow(n)
+					n = k.nodes.clone(n)
 				}
 				n.children[i] = nil
 				continue
@@ -294,7 +378,7 @@ func (k *Kernel) reapEmpty(pt *PageTable) (freed uint64, cycles uint64) {
 			allEmpty = false
 			if nc != c {
 				if n.shared {
-					n = clonePTShallow(n)
+					n = k.nodes.clone(n)
 				}
 				n.children[i] = nc
 			}
@@ -306,8 +390,9 @@ func (k *Kernel) reapEmpty(pt *PageTable) (freed uint64, cycles uint64) {
 		if err := k.buddy.Free(root.pfn); err == nil {
 			freed++
 			k.stats.PageTablePages--
-			cycles += k.cfg.InstrCycles(k.cfg.Cost.BuddyFreeInstrs)
+			cycles += k.buddyFreeCycles
 		}
+		k.nodes.put(root)
 		pt.root = nil
 	} else {
 		pt.root = root

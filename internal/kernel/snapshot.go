@@ -252,7 +252,7 @@ func (as *AddressSpace) Snapshot() *AddressSpaceSnapshot {
 func (k *Kernel) RestoreAddressSpace(s *AddressSpaceSnapshot) *AddressSpace {
 	return &AddressSpace{
 		k:             k,
-		pt:            &PageTable{root: s.root, tablePages: s.tablePages},
+		pt:            &PageTable{root: s.root, tablePages: s.tablePages, nodes: &k.nodes},
 		vmas:          append([]vma(nil), s.vmas...),
 		cursor:        s.cursor,
 		metaFrame:     s.metaFrame,

@@ -298,13 +298,13 @@ func (p *process) computeTraffic(cycles uint64) error {
 
 func (p *process) done() bool { return p.pc >= p.tr.Len() }
 
-func (p *process) kernelMM() uint64 { return p.m.k.Stats().KernelMMCycles() }
+func (p *process) kernelMM() uint64 { return p.m.k.KernelMMCycles() }
 
 func (p *process) backing() uint64 {
 	if p.pa == nil {
 		return 0
 	}
-	return p.pa.Stats().BackingCycles
+	return p.pa.BackingCycles()
 }
 
 // step executes one trace event, reporting into the attached probe and

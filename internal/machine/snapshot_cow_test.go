@@ -244,3 +244,75 @@ func TestSnapshotConcurrentFanOut(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmRecycledNodesStayPrivate: teardown recycles private page-table
+// nodes (the kernel's free list and the Memento table's node pools), which
+// is only sound if no recycled node was ever frozen into a checkpoint.
+// After several warm runs on held machines, concurrently, every run must
+// match a fresh machine's, and a fresh machine restored from the same
+// checkpoint must still give the Result and RestoreStats it gave before
+// any run. CI runs this under -race, which also proves that recycled
+// nodes never cross between machines.
+func TestWarmRecycledNodesStayPrivate(t *testing.T) {
+	p, _ := workload.ByName("aes")
+	tr := workload.Generate(p)
+	for _, stack := range []Stack{Baseline, Memento} {
+		opt := Options{Stack: stack}
+		ws, err := PrepareWarm(config.Default(), tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := func() (Result, RestoreStats) {
+			m, err := New(config.Default())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, rs, err := ws.RunOn(m, tr, opt)
+			if err != nil {
+				t.Fatalf("%v: %v", stack, err)
+			}
+			return r, rs
+		}
+		want, wantRS := fresh()
+		const workers, runs = 3, 3
+		deltas := make([][]RestoreStats, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				m, err := New(config.Default())
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				for j := 0; j < runs; j++ {
+					r, rs, err := ws.RunOn(m, tr, opt)
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					if !reflect.DeepEqual(want, r) {
+						t.Errorf("%v: worker %d run %d diverged from a fresh machine's", stack, g, j)
+					}
+					deltas[g] = append(deltas[g], rs)
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("%v: worker %d: %v", stack, g, err)
+			}
+			if !reflect.DeepEqual(deltas[g], deltas[0]) {
+				t.Errorf("%v: worker %d restore stats %v, worker 0 %v", stack, g, deltas[g], deltas[0])
+			}
+		}
+		got, gotRS := fresh()
+		if !reflect.DeepEqual(want, got) || gotRS != wantRS {
+			t.Fatalf("%v: fresh machine after recycling: restore %+v, want %+v; results equal %v",
+				stack, gotRS, wantRS, reflect.DeepEqual(want, got))
+		}
+	}
+}

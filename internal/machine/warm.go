@@ -81,7 +81,7 @@ func newWarmStart(cfg config.Machine, key setupKey, m *Machine, p *process) *War
 		key:         key,
 		msnap:       m.Snapshot(),
 		psnap:       p.captureState(),
-		setupCycles: m.k.Stats().KernelMMCycles(),
+		setupCycles: m.k.KernelMMCycles(),
 	}
 	if p.pa != nil {
 		w.setupCycles += p.pa.Stats().BackgroundCycles
