@@ -109,7 +109,7 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 		h.Access(addrs[i%len(addrs)], i%3 == 0)
 		i++
 	}); n != 0 {
-		t.Errorf("Hierarchy.Access allocates %v bytes-equivalents per op, want 0", n)
+		t.Errorf("Hierarchy.Access makes %v allocations per op, want 0", n)
 	}
 
 	s := tlb.NewSystem(cfg)
@@ -119,7 +119,7 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 		s.Translate(j%512, w)
 		j++
 	}); n != 0 {
-		t.Errorf("System.Translate allocates %v per op, want 0", n)
+		t.Errorf("System.Translate makes %v allocations per op, want 0", n)
 	}
 
 	d := dram.New(cfg.DRAM)
@@ -132,7 +132,7 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 		}
 		k++
 	}); n != 0 {
-		t.Errorf("DRAM access allocates %v per op, want 0", n)
+		t.Errorf("DRAM access makes %v allocations per op, want 0", n)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestTeardownFastForwardZeroAlloc(t *testing.T) {
 			panic("resident tuple refused")
 		}
 	}); n != 0 {
-		t.Errorf("Hierarchy.RepeatHits allocates %v per op, want 0", n)
+		t.Errorf("Hierarchy.RepeatHits makes %v allocations per op, want 0", n)
 	}
 
 	k := kernel.New(cfg, h)
@@ -195,5 +195,27 @@ func TestTeardownFastForwardZeroAlloc(t *testing.T) {
 	}
 	if mallocs != 0 {
 		t.Errorf("warm Munmap allocated %d times over %d runs, want 0", mallocs, runs)
+	}
+}
+
+// TestMachineFootprint caps the host bytes one simulated machine allocates.
+// Its cache and TLB sets are most of them, and of every warm checkpoint,
+// so the cap pins the one-word-per-line recency-ordered layout (DESIGN.md
+// §16): 328,560 bytes with it, against 655,698 with a 64-bit LRU stamp
+// beside every line.
+func TestMachineFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts allocation counts")
+	}
+	cfg := config.Default()
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := machine.New(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got, limit := r.AllocedBytesPerOp(), int64(384<<10); got > limit {
+		t.Errorf("machine.New(config.Default()) allocates %d bytes, want at most %d", got, limit)
 	}
 }

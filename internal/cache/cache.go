@@ -12,17 +12,9 @@ import (
 	"memento/internal/telemetry"
 )
 
-// line is one cache line's bookkeeping, packed to 16 bytes so a whole
-// 16-way set spans four cache lines of host memory instead of six. The tag
-// word carries the valid and dirty flags in its top bits; tags are line
-// addresses shifted down by the set bits, far below 62 bits.
-type line struct {
-	// tagw is tag | validBit | dirtyBit.
-	tagw uint64
-	// lru is a per-set sequence number; the smallest is the LRU victim.
-	lru uint64
-}
-
+// Line bookkeeping is one 8-byte tag word per way: the tag with the valid
+// and dirty flags in its top bits (tags are line addresses shifted down by
+// the set bits, far below 62 bits). An invalid way is the zero word.
 const (
 	validBit = 1 << 63
 	dirtyBit = 1 << 62
@@ -30,27 +22,22 @@ const (
 )
 
 // Cache is one set-associative cache level. Set storage is one flat,
-// set-major slice (set s occupies lines[s*ways : (s+1)*ways]) so a probe
-// costs a single bounds-checked slice, not a pointer chase per set, and the
-// set shift is precomputed instead of re-derived per lookup.
+// set-major slice of tag words (set s occupies lines[s*ways : (s+1)*ways]),
+// and each set keeps its valid lines in recency order, most recent first,
+// with invalid ways trailing. LRU replacement therefore needs no stamps: a
+// hit moves its line to the front, a fill enters at the front, and the
+// victim of a full set is its last way (DESIGN.md §16).
 type Cache struct {
-	cfg   config.CacheConfig
-	lines []line
-	ways  int
-	// mru[s] is the way index of set s's most-recently-used line; it is the
-	// first way probed on Lookup, the common hit for the streaming access
-	// patterns the simulator replays.
-	mru     []int32
+	cfg     config.CacheConfig
+	lines   []uint64
+	ways    int
 	setMask uint64
 	shift   uint
-	tick    uint64
-	// Fill memo: a Lookup miss records the victim way it scanned past so the
-	// Insert that services the miss (the universal miss->fill pattern in
-	// Hierarchy) can skip a second way scan. The memo is one-shot — any
-	// mutation (Insert, Invalidate, another Lookup) clears it — so a consumed
-	// memo is always the way the cold-path scan would have picked.
+	// Fill memo: a Lookup miss records the line it missed so the Insert that
+	// services the miss (the universal miss->fill pattern in Hierarchy) can
+	// skip the scan for an existing copy. The memo is one-shot — any
+	// mutation (Insert, Invalidate, another Lookup) clears it.
 	memoLine uint64
-	memoWay  int32
 	memoOK   bool
 	// Stats
 	hits, misses uint64
@@ -78,9 +65,8 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	n := cfg.Sets()
 	return &Cache{
 		cfg:     cfg,
-		lines:   make([]line, n*cfg.Ways),
+		lines:   make([]uint64, n*cfg.Ways),
 		ways:    cfg.Ways,
-		mru:     make([]int32, n),
 		setMask: uint64(n - 1),
 		shift:   uint(config.Log2(n)),
 		dirty:   make([]uint64, (n+63)/64),
@@ -93,96 +79,74 @@ func (c *Cache) indexTag(lineAddr uint64) (set uint64, tag uint64) {
 }
 
 // setOf returns set s's ways as a window into the flat storage.
-func (c *Cache) setOf(set uint64) []line {
+func (c *Cache) setOf(set uint64) []uint64 {
 	base := int(set) * c.ways
 	return c.lines[base : base+c.ways]
 }
 
-// Lookup probes for the line, updating LRU on a hit. If write is set and the
-// line hits, it is marked dirty.
-func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
-	set, tag := c.indexTag(lineAddr)
-	ways := c.setOf(set)
-	want := tag | validBit
-	c.memoOK = false
-	// Every Lookup mutates either the hit or the miss counter, so the cache
-	// diverges from its base snapshot even when no set content changes.
-	c.clean = false
-	// MRU fast path: skip the way scan when the last-used way hits again.
-	if w := &ways[c.mru[set]]; w.tagw&^dirtyBit == want {
-		c.tick++
-		w.lru = c.tick
-		if write {
-			w.tagw |= dirtyBit
+// position returns the way holding tag word want (tag|validBit) in ways, or
+// -1. The scan stops at the first invalid way: only invalid ways follow it.
+func position(ways []uint64, want uint64) int {
+	for i, w := range ways {
+		if w&^dirtyBit == want {
+			return i
 		}
-		c.hits++
-		c.dirty[set>>6] |= 1 << (set & 63)
-		return true
-	}
-	// Miss scans track the victim Insert would pick (first invalid way, else
-	// lowest LRU with first-strictly-less tie-break) to seed the fill memo.
-	inv := -1
-	li, lru := 0, ^uint64(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.tagw&^dirtyBit == want {
-			c.tick++
-			w.lru = c.tick
-			if write {
-				w.tagw |= dirtyBit
-			}
-			c.hits++
-			c.mru[set] = int32(i)
-			c.dirty[set>>6] |= 1 << (set & 63)
-			return true
-		}
-		if w.tagw&validBit == 0 {
-			if inv < 0 {
-				inv = i
-			}
-			continue
-		}
-		if w.lru < lru {
-			li, lru = i, w.lru
-		}
-	}
-	c.misses++
-	vi := inv
-	if vi < 0 {
-		vi = li
-	}
-	c.memoLine, c.memoWay, c.memoOK = lineAddr, int32(vi), true
-	return false
-}
-
-// find returns the index in lines of the resident copy of lineAddr, or -1,
-// probing the set's MRU way first. It touches no state.
-func (c *Cache) find(lineAddr uint64) int {
-	set, tag := c.indexTag(lineAddr)
-	want := tag | validBit
-	base := int(set) * c.ways
-	if i := base + int(c.mru[set]); c.lines[i].tagw&^dirtyBit == want {
-		return i
-	}
-	for i, w := range c.setOf(set) {
-		if w.tagw&^dirtyBit == want {
-			return base + i
+		if w == 0 {
+			break
 		}
 	}
 	return -1
 }
 
+// toFront moves way i of ways to the front, or-ing in or.
+func toFront(ways []uint64, i int, or uint64) {
+	w := ways[i] | or
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = w
+}
+
+// Lookup probes for the line, making it most recent on a hit. If write is
+// set and the line hits, it is marked dirty.
+func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
+	set, tag := c.indexTag(lineAddr)
+	ways := c.setOf(set)
+	c.memoOK = false
+	// Every Lookup mutates either the hit or the miss counter, so the cache
+	// diverges from its base snapshot even when no set content changes.
+	c.clean = false
+	var or uint64
+	if write {
+		or = dirtyBit
+	}
+	// The front way is the most recent line, the common hit for the
+	// streaming access patterns the simulator replays; it stays in place.
+	if ways[0]&^dirtyBit == tag|validBit {
+		ways[0] |= or
+	} else if i := position(ways, tag|validBit); i >= 0 {
+		toFront(ways, i, or)
+	} else {
+		c.misses++
+		c.memoLine, c.memoOK = lineAddr, true
+		return false
+	}
+	c.hits++
+	// A hit marks its set even when nothing moves: the recency order is the
+	// state a delta restore copies back.
+	c.dirty[set>>6] |= 1 << (set & 63)
+	return true
+}
+
 // repeatHits applies rounds passes of the tuple pas (physical addresses),
-// in order, as the Lookup hits they are when every line is resident: tick
-// advances by rounds·len(pas), each line's lru becomes the tick of its
-// access in the last round, a write (bit j of writes) sets the dirty bit,
-// and mru and the dirty-set bitmap end as the sequential hits leave them.
-// Hits neither fill nor evict, so residency holds for every round once it
-// holds for the first. It reports false, changing nothing, when a line is
-// not resident.
+// in order, as the Lookup hits they are when every line is resident. Hits
+// neither fill nor evict, so residency holds for every round once it holds
+// for the first, and a second pass of moves-to-front leaves every set in
+// the order the first left it: one pass in tuple order, with a write (bit j
+// of writes) setting the dirty bit, is the state after all rounds. The hit
+// counter advances by rounds·len(pas). It reports false, changing nothing,
+// when a line is not resident.
 func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 	for _, pa := range pas {
-		if c.find(pa>>config.LineShift) < 0 {
+		if !c.Contains(pa >> config.LineShift) {
 			return false
 		}
 	}
@@ -190,112 +154,70 @@ func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 	if rounds == 0 || n == 0 {
 		return true
 	}
-	last := c.tick + (rounds-1)*n
 	for j, pa := range pas {
-		la := pa >> config.LineShift
-		i, set := c.find(la), la&c.setMask
-		c.lines[i].lru = last + uint64(j) + 1
-		if writes>>uint(j)&1 != 0 {
-			c.lines[i].tagw |= dirtyBit
-		}
-		c.mru[set] = int32(i - int(set)*c.ways)
+		set, tag := c.indexTag(pa >> config.LineShift)
+		ways := c.setOf(set)
+		toFront(ways, position(ways, tag|validBit), (writes>>uint(j)&1)*dirtyBit)
 		c.dirty[set>>6] |= 1 << (set & 63)
 	}
-	c.tick += rounds * n
 	c.hits += rounds * n
 	c.memoOK = false
 	c.clean = false
 	return true
 }
 
-// Contains probes without touching LRU or statistics.
-func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
+// Contains probes without touching recency or statistics.
+func (c *Cache) Contains(lineAddr uint64) bool {
+	set, tag := c.indexTag(lineAddr)
+	return position(c.setOf(set), tag|validBit) >= 0
+}
 
-// Insert places the line, evicting the LRU victim if the set is full.
-// It returns the evicted line address and whether the victim was dirty.
+// Insert places the line as the set's most recent, evicting the least
+// recent if the set is full. It returns the evicted line address and
+// whether the victim was dirty.
 func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	set, tag := c.indexTag(lineAddr)
 	ways := c.setOf(set)
-	c.tick++
 	c.markDirty(set)
-	want := tag | validBit
-	// Fill-memo fast path: the immediately preceding Lookup missed this very
-	// line and already picked the victim way; nothing has mutated since.
-	if c.memoOK && c.memoLine == lineAddr {
-		c.memoOK = false
-		w := &ways[c.memoWay]
-		if w.tagw&validBit != 0 {
-			victim = ((w.tagw & tagMask) << c.shift) | set
-			victimDirty = w.tagw&dirtyBit != 0
-			evicted = true
-		}
-		tagw := want
-		if dirty {
-			tagw |= dirtyBit
-		}
-		*w = line{tagw: tagw, lru: c.tick}
-		c.mru[set] = c.memoWay
-		return victim, victimDirty, evicted
-	}
-	c.memoOK = false
-	// Prefer an existing copy (refresh), then the first invalid way, else LRU.
-	inv := -1
-	li, lru := 0, ^uint64(0)
-	for i := range ways {
-		w := &ways[i]
-		if w.tagw&^dirtyBit == want {
-			w.lru = c.tick
-			if dirty {
-				w.tagw |= dirtyBit
-			}
-			c.mru[set] = int32(i)
-			return 0, false, false
-		}
-		if w.tagw&validBit == 0 {
-			if inv < 0 {
-				inv = i
-			}
-			continue
-		}
-		if w.lru < lru {
-			li, lru = i, w.lru
-		}
-	}
-	vi := inv
-	if vi < 0 {
-		vi = li
-	}
-	w := &ways[vi]
-	if w.tagw&validBit != 0 {
-		victim = ((w.tagw & tagMask) << c.shift) | set
-		victimDirty = w.tagw&dirtyBit != 0
-		evicted = true
-	}
-	tagw := want
+	tagw := tag | validBit
 	if dirty {
 		tagw |= dirtyBit
 	}
-	*w = line{tagw: tagw, lru: c.tick}
-	c.mru[set] = int32(vi)
+	// The fill memo says the immediately preceding Lookup missed this very
+	// line, so there is no copy to refresh; otherwise look for one.
+	memo := c.memoOK && c.memoLine == lineAddr
+	c.memoOK = false
+	if !memo {
+		if i := position(ways, tag|validBit); i >= 0 {
+			toFront(ways, i, tagw)
+			return 0, false, false
+		}
+	}
+	if last := ways[len(ways)-1]; last != 0 {
+		victim = ((last & tagMask) << c.shift) | set
+		victimDirty = last&dirtyBit != 0
+		evicted = true
+	}
+	copy(ways[1:], ways)
+	ways[0] = tagw
 	return victim, victimDirty, evicted
 }
 
 // Invalidate drops the line if present, returning whether it was dirty.
-// A stale mru entry is harmless: the fast path re-checks validity and tag.
+// The ways behind it close up, so invalid ways stay trailing.
 func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 	c.memoOK = false
 	set, tag := c.indexTag(lineAddr)
 	ways := c.setOf(set)
-	want := tag | validBit
-	for i := range ways {
-		if ways[i].tagw&^dirtyBit == want {
-			d := ways[i].tagw&dirtyBit != 0
-			ways[i] = line{}
-			c.markDirty(set)
-			return d, true
-		}
+	i := position(ways, tag|validBit)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	wasDirty = ways[i]&dirtyBit != 0
+	copy(ways[i:], ways[i+1:])
+	ways[len(ways)-1] = 0
+	c.markDirty(set)
+	return wasDirty, true
 }
 
 // HitRate returns the hit rate observed so far.

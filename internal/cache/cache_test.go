@@ -259,8 +259,6 @@ func TestHierarchyMonotoneTraffic(t *testing.T) {
 // sameCache reports the first difference between two levels' full state.
 func sameCache(a, b *Cache) string {
 	switch {
-	case a.tick != b.tick:
-		return "tick"
 	case a.hits != b.hits || a.misses != b.misses:
 		return "counters"
 	case a.clean != b.clean:
@@ -268,14 +266,10 @@ func sameCache(a, b *Cache) string {
 	case a.memoOK != b.memoOK:
 		return "fill memo"
 	}
+	// The recency-ordered tag words are the whole replacement state.
 	for i := range a.lines {
 		if a.lines[i] != b.lines[i] {
 			return "lines"
-		}
-	}
-	for i := range a.mru {
-		if a.mru[i] != b.mru[i] {
-			return "mru"
 		}
 	}
 	for i := range a.dirty {
@@ -289,9 +283,9 @@ func sameCache(a, b *Cache) string {
 // TestRepeatHitsMatchesSequentialAccess checks the hit-replay fast path
 // against the per-access loop it stands for. Twin hierarchies see the same
 // random history; then one repeats a random tuple with RepeatHits and the
-// other issues rounds passes of Access. Cycles, Stats, every level's lines,
-// mru, tick and counters, and the delta-restore bytes must agree. A refused
-// replay (a line not L1-resident) must change nothing.
+// other issues rounds passes of Access. Cycles, Stats, every level's
+// recency-ordered lines and counters, and the delta-restore bytes must
+// agree. A refused replay (a line not L1-resident) must change nothing.
 func TestRepeatHitsMatchesSequentialAccess(t *testing.T) {
 	for _, ways := range []int{1, 2, 8} {
 		m := config.Default()
@@ -363,6 +357,50 @@ func TestRepeatHitsMatchesSequentialAccess(t *testing.T) {
 		}
 		if fast == 0 || slow == 0 {
 			t.Fatalf("ways=%d: %d fast-forwarded and %d refused tuples; want both", ways, fast, slow)
+		}
+	}
+}
+
+// TestLRUStackInclusion checks LRU's stack property metamorphically: with
+// the set count and the line stream fixed, a level one way wider holds a
+// superset of the lines, so every access that hits with W ways also hits
+// with W+1, for W = 1..16. Each miss fills, as in the hierarchy.
+func TestLRUStackInclusion(t *testing.T) {
+	const sets = 4
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		// A hot region reused at short distances inside a wider one, so
+		// the hit rate climbs over the whole range of associativities.
+		stream := make([]uint64, 3000)
+		hot, wide := 1+rng.Intn(sets*12), sets*(8+rng.Intn(32))
+		for i := range stream {
+			if rng.Intn(3) == 0 {
+				stream[i] = uint64(rng.Intn(wide))
+			} else {
+				stream[i] = uint64(rng.Intn(hot))
+			}
+		}
+		var prev []bool
+		prevHits, grew := 0, false
+		for w := 1; w <= 17; w++ {
+			c := NewCache(config.CacheConfig{Name: "m", SizeBytes: sets * w * config.LineSize, Ways: w})
+			hit, hits := make([]bool, len(stream)), 0
+			for i, la := range stream {
+				write := la%5 == 0
+				if hit[i] = c.Lookup(la, write); hit[i] {
+					hits++
+				} else {
+					c.Insert(la, write)
+				}
+				if prev != nil && prev[i] && !hit[i] {
+					t.Fatalf("trial %d: access %d (line %d) hits with %d ways, misses with %d", trial, i, la, w-1, w)
+				}
+			}
+			grew = grew || (prev != nil && hits > prevHits)
+			prev, prevHits = hit, hits
+		}
+		if !grew {
+			t.Fatalf("trial %d: hit count never grew with associativity; the stream tests nothing", trial)
 		}
 	}
 }

@@ -2,18 +2,23 @@ package cache
 
 import "math/bits"
 
-// Sizes used for byte accounting, fixed by the packed layouts above.
+// Metered sizes: what a restore charges per line, per set and per level.
+// They meter the modeled state of a stamp-LRU cache (a tag word and a
+// 64-bit LRU stamp per line, an MRU way index per set, and the LRU tick
+// and two counters per level), not the Go representation, which keeps one
+// tag word per line in recency order. Restore byte counts feed the warm
+// and fleet goldens, so they stay fixed when the host layout shrinks
+// (DESIGN.md §16).
 const (
-	lineBytes = 16 // sizeof(line): tagw + lru
-	mruBytes  = 4  // sizeof(int32)
-	// scalarBytes covers tick, hits, misses.
+	lineBytes   = 16
+	setBytes    = 4
 	scalarBytes = 3 * 8
 )
 
 // Snapshot is an immutable capture of one cache level's mutable state: the
-// packed line array, the per-set MRU hints, the LRU tick, and the counters.
-// Geometry is immutable configuration and is not captured; a Snapshot may
-// only be restored into a Cache built from the same CacheConfig.
+// recency-ordered tag words and the counters. Geometry is immutable
+// configuration and is not captured; a Snapshot may only be restored into a
+// Cache built from the same CacheConfig.
 //
 // Snapshots are delta-aware: the cache remembers the snapshot it was last
 // captured to or restored from (its base) plus a per-set dirty bitmap, so
@@ -25,25 +30,22 @@ const (
 // between a Lookup miss and the Insert that services it, and a snapshot is
 // never taken mid-access. Restore clears it.
 type Snapshot struct {
-	lines        []line
-	mru          []int32
-	tick         uint64
+	lines        []uint64
+	sets         uint64
 	hits, misses uint64
 }
 
-// Bytes returns the full size of the captured state in bytes — the cost of
+// Bytes returns the full metered size of the captured state — the cost of
 // one deep restore, and the denominator for delta-restore savings.
 func (s *Snapshot) Bytes() uint64 {
-	return uint64(len(s.lines))*lineBytes + uint64(len(s.mru))*mruBytes + scalarBytes
+	return uint64(len(s.lines))*lineBytes + s.sets*setBytes + scalarBytes
 }
 
 // rebase marks the live cache as bit-identical to s.
 func (c *Cache) rebase(s *Snapshot) {
 	c.base = s
 	c.clean = true
-	for i := range c.dirty {
-		c.dirty[i] = 0
-	}
+	clear(c.dirty)
 }
 
 // Snapshot captures the level's mutable state. The returned value is
@@ -55,9 +57,8 @@ func (c *Cache) Snapshot() *Snapshot {
 		return c.base
 	}
 	s := &Snapshot{
-		lines:  append([]line(nil), c.lines...),
-		mru:    append([]int32(nil), c.mru...),
-		tick:   c.tick,
+		lines:  append([]uint64(nil), c.lines...),
+		sets:   c.setMask + 1,
 		hits:   c.hits,
 		misses: c.misses,
 	}
@@ -69,7 +70,7 @@ func (c *Cache) Snapshot() *Snapshot {
 // fill memo. When s is the cache's base snapshot only the sets dirtied since
 // the base was established are copied back (zero work, zero allocation for a
 // clean cache); any other snapshot is a full copy-in that rebases the cache
-// onto it. Returns the number of bytes copied.
+// onto it. Returns the metered number of bytes copied.
 func (c *Cache) Restore(s *Snapshot) uint64 {
 	c.memoOK = false
 	if s == c.base {
@@ -77,27 +78,25 @@ func (c *Cache) Restore(s *Snapshot) uint64 {
 			return 0
 		}
 		var copied uint64
-		setBytes := uint64(c.ways)*lineBytes + mruBytes
+		perSet := uint64(c.ways)*lineBytes + setBytes
 		for wi, word := range c.dirty {
+			// Copy each run of consecutive dirty sets with one copy.
 			for word != 0 {
-				set := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
-				word &= word - 1
-				base := int(set) * c.ways
-				copy(c.lines[base:base+c.ways], s.lines[base:base+c.ways])
-				c.mru[set] = s.mru[set]
-				copied += setBytes
+				lo := bits.TrailingZeros64(word)
+				n := bits.TrailingZeros64(^(word >> lo))
+				word &^= (1<<n - 1) << lo
+				from, to := (wi<<6+lo)*c.ways, (wi<<6+lo+n)*c.ways
+				copy(c.lines[from:to], s.lines[from:to])
+				copied += uint64(n) * perSet
 			}
 			c.dirty[wi] = 0
 		}
-		c.tick = s.tick
 		c.hits = s.hits
 		c.misses = s.misses
 		c.clean = true
 		return copied + scalarBytes
 	}
 	c.lines = append(c.lines[:0], s.lines...)
-	c.mru = append(c.mru[:0], s.mru...)
-	c.tick = s.tick
 	c.hits = s.hits
 	c.misses = s.misses
 	c.rebase(s)

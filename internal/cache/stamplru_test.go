@@ -1,0 +1,372 @@
+package cache
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"memento/internal/config"
+)
+
+// refCache is the stamp-LRU cache level the recency-ordered sets replaced,
+// kept as a differential oracle: every line carries the tick of its last
+// use, a fill takes the first invalid way or else the lowest stamp (first
+// strictly less), and the delta-snapshot bookkeeping follows the same
+// rules as Cache — a hit or a fill marks its set, a present Invalidate
+// marks its set, a miss only clears clean. The replay fast path is modeled
+// as the sequential hits it stands for.
+type refCache struct {
+	ways         int
+	sets         uint64
+	shift        uint
+	lines        []refLine
+	tick         uint64
+	hits, misses uint64
+	base         *refSnapshot
+	clean        bool
+	dirty        []bool
+}
+
+type refLine struct{ tagw, lru uint64 }
+
+type refSnapshot struct {
+	lines              []refLine
+	tick, hits, misses uint64
+}
+
+func newRefCache(sets, ways int) *refCache {
+	return &refCache{
+		ways:  ways,
+		sets:  uint64(sets),
+		shift: uint(config.Log2(sets)),
+		lines: make([]refLine, sets*ways),
+		dirty: make([]bool, sets),
+	}
+}
+
+func (c *refCache) set(la uint64) (uint64, []refLine, uint64) {
+	set := la & (c.sets - 1)
+	base := int(set) * c.ways
+	return set, c.lines[base : base+c.ways], la>>c.shift | validBit
+}
+
+func (c *refCache) Lookup(la uint64, write bool) bool {
+	set, ways, want := c.set(la)
+	c.clean = false
+	for i := range ways {
+		if ways[i].tagw&^dirtyBit == want {
+			c.tick++
+			ways[i].lru = c.tick
+			if write {
+				ways[i].tagw |= dirtyBit
+			}
+			c.hits++
+			c.dirty[set] = true
+			return true
+		}
+	}
+	c.misses++
+	return false
+}
+
+func (c *refCache) Contains(la uint64) bool {
+	_, ways, want := c.set(la)
+	for _, w := range ways {
+		if w.tagw&^dirtyBit == want {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) repeatHits(pas []uint64, writes, rounds uint64) bool {
+	for _, pa := range pas {
+		if !c.Contains(pa >> config.LineShift) {
+			return false
+		}
+	}
+	for r := uint64(0); r < rounds; r++ {
+		for j, pa := range pas {
+			c.Lookup(pa>>config.LineShift, writes>>uint(j)&1 != 0)
+		}
+	}
+	return true
+}
+
+func (c *refCache) Insert(la uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
+	set, ways, want := c.set(la)
+	c.tick++
+	c.dirty[set] = true
+	c.clean = false
+	inv := -1
+	li, lru := 0, ^uint64(0)
+	for i := range ways {
+		w := &ways[i]
+		if w.tagw&^dirtyBit == want {
+			w.lru = c.tick
+			if dirty {
+				w.tagw |= dirtyBit
+			}
+			return 0, false, false
+		}
+		if w.tagw&validBit == 0 {
+			if inv < 0 {
+				inv = i
+			}
+			continue
+		}
+		if w.lru < lru {
+			li, lru = i, w.lru
+		}
+	}
+	vi := inv
+	if vi < 0 {
+		vi = li
+	}
+	w := &ways[vi]
+	if w.tagw&validBit != 0 {
+		victim = (w.tagw&tagMask)<<c.shift | set
+		victimDirty = w.tagw&dirtyBit != 0
+		evicted = true
+	}
+	tagw := want
+	if dirty {
+		tagw |= dirtyBit
+	}
+	*w = refLine{tagw: tagw, lru: c.tick}
+	return victim, victimDirty, evicted
+}
+
+func (c *refCache) Invalidate(la uint64) (wasDirty, wasPresent bool) {
+	set, ways, want := c.set(la)
+	for i := range ways {
+		if ways[i].tagw&^dirtyBit == want {
+			d := ways[i].tagw&dirtyBit != 0
+			ways[i] = refLine{}
+			c.dirty[set] = true
+			c.clean = false
+			return d, true
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) rebase(s *refSnapshot) {
+	c.base, c.clean = s, true
+	clear(c.dirty)
+}
+
+func (c *refCache) Snapshot() *refSnapshot {
+	if c.clean && c.base != nil {
+		return c.base
+	}
+	s := &refSnapshot{lines: slices.Clone(c.lines), tick: c.tick, hits: c.hits, misses: c.misses}
+	c.rebase(s)
+	return s
+}
+
+// Restore copies s back and returns the bytes a stamp-LRU level copies: a
+// 16-byte line per way and a 4-byte MRU hint per dirty set plus the tick
+// and two counters, or the whole level for a snapshot other than the base.
+func (c *refCache) Restore(s *refSnapshot) uint64 {
+	if s == c.base {
+		if c.clean {
+			return 0
+		}
+		var copied uint64
+		for set, d := range c.dirty {
+			if d {
+				base := set * c.ways
+				copy(c.lines[base:base+c.ways], s.lines[base:base+c.ways])
+				copied += uint64(c.ways)*16 + 4
+			}
+		}
+		c.tick, c.hits, c.misses = s.tick, s.hits, s.misses
+		c.clean = true
+		clear(c.dirty)
+		return copied + 24
+	}
+	c.lines = slices.Clone(s.lines)
+	c.tick, c.hits, c.misses = s.tick, s.hits, s.misses
+	c.rebase(s)
+	return uint64(len(s.lines))*16 + c.sets*4 + 24
+}
+
+// recency returns set's valid tag words, most recently used first.
+func (c *refCache) recency(set int) []uint64 {
+	ways := slices.Clone(c.lines[set*c.ways : (set+1)*c.ways])
+	ways = slices.DeleteFunc(ways, func(l refLine) bool { return l.tagw&validBit == 0 })
+	slices.SortFunc(ways, func(a, b refLine) int {
+		if a.lru == b.lru {
+			panic("two valid lines share an LRU stamp")
+		}
+		if a.lru > b.lru {
+			return -1
+		}
+		return 1
+	})
+	out := make([]uint64, len(ways))
+	for i, l := range ways {
+		out[i] = l.tagw
+	}
+	return out
+}
+
+// matchRef reports the first difference between c and its oracle r.
+func matchRef(c *Cache, r *refCache) string {
+	if c.hits != r.hits || c.misses != r.misses {
+		return "counters"
+	}
+	if c.clean != r.clean {
+		return "clean flag"
+	}
+	for set := 0; set < int(r.sets); set++ {
+		if c.dirty[set>>6]>>(set&63)&1 == 1 != r.dirty[set] {
+			return "dirty-set bitmap"
+		}
+		want := r.recency(set)
+		ways := c.setOf(uint64(set))
+		if !slices.Equal(ways[:len(want)], want) {
+			return "recency order"
+		}
+		for _, w := range ways[len(want):] {
+			if w != 0 {
+				return "invalid ways not trailing as zero words"
+			}
+		}
+	}
+	return ""
+}
+
+// fuzzWays are the associativities the oracle tries: direct-mapped, small,
+// odd, Table 3's L1D (8) and its iso-storage variant (9), the L2 TLB's 12,
+// and the LLC's 16.
+var fuzzWays = []int{1, 2, 3, 8, 9, 12, 16}
+
+// cacheOracle drives a Cache and its stamp-LRU oracle through the operation
+// stream in ops and fails at the first observable difference. geo picks
+// the associativity and a set count of 1, 2 or 4.
+func cacheOracle(t *testing.T, geo uint8, ops []byte) {
+	ways := fuzzWays[int(geo)%len(fuzzWays)]
+	sets := 1 << (int(geo) / len(fuzzWays) % 3)
+	cfg := config.CacheConfig{Name: "f", SizeBytes: sets * ways * config.LineSize, Ways: ways}
+	c, r := NewCache(cfg), newRefCache(sets, ways)
+	// Lines from a universe a few ways wider than the cache, so sets fill,
+	// evict and re-fetch.
+	universe := uint64(sets * (ways + 3))
+
+	// A donor pair of the same geometry supplies a foreign snapshot.
+	dc, dr := NewCache(cfg), newRefCache(sets, ways)
+	for i := uint64(0); i < universe; i += 2 {
+		dc.Insert(i, i%3 == 0)
+		dr.Insert(i, i%3 == 0)
+	}
+	dc.Lookup(universe-2, true)
+	dr.Lookup(universe-2, true)
+	type pair struct {
+		s *Snapshot
+		r *refSnapshot
+	}
+	snaps := []pair{{dc.Snapshot(), dr.Snapshot()}}
+
+	next := func() byte {
+		if len(ops) == 0 {
+			return 0
+		}
+		b := ops[0]
+		ops = ops[1:]
+		return b
+	}
+	for step := 0; len(ops) > 0; step++ {
+		op, arg := next(), next()
+		la, write := uint64(arg)%universe, arg&0x80 != 0
+		var what string
+		switch op % 8 {
+		case 0:
+			what = "Lookup"
+			if c.Lookup(la, write) != r.Lookup(la, write) {
+				t.Fatalf("step %d: Lookup(%d) hit differs", step, la)
+			}
+		case 1:
+			// The Hierarchy pattern: a Lookup miss, then the fill it causes,
+			// which consumes the fill memo.
+			what = "Lookup+Insert"
+			hit := c.Lookup(la, write)
+			if hit != r.Lookup(la, write) {
+				t.Fatalf("step %d: Lookup(%d) hit differs", step, la)
+			}
+			if !hit {
+				v, vd, ev := c.Insert(la, write)
+				rv, rvd, rev := r.Insert(la, write)
+				if v != rv || vd != rvd || ev != rev {
+					t.Fatalf("step %d: Insert(%d) after miss = (%d,%v,%v), oracle (%d,%v,%v)", step, la, v, vd, ev, rv, rvd, rev)
+				}
+			}
+		case 2:
+			what = "Insert"
+			v, vd, ev := c.Insert(la, write)
+			rv, rvd, rev := r.Insert(la, write)
+			if v != rv || vd != rvd || ev != rev {
+				t.Fatalf("step %d: Insert(%d) = (%d,%v,%v), oracle (%d,%v,%v)", step, la, v, vd, ev, rv, rvd, rev)
+			}
+		case 3:
+			what = "Invalidate"
+			d, p := c.Invalidate(la)
+			rd, rp := r.Invalidate(la)
+			if d != rd || p != rp {
+				t.Fatalf("step %d: Invalidate(%d) = (%v,%v), oracle (%v,%v)", step, la, d, p, rd, rp)
+			}
+		case 4:
+			what = "Contains"
+			if c.Contains(la) != r.Contains(la) {
+				t.Fatalf("step %d: Contains(%d) differs", step, la)
+			}
+		case 5:
+			what = "repeatHits"
+			pas := make([]uint64, arg%6)
+			for j := range pas {
+				pas[j] = uint64(next())%universe<<config.LineShift | uint64(j)*8
+			}
+			writes, rounds := uint64(next()), uint64(next()%5)
+			if c.repeatHits(pas, writes, rounds) != r.repeatHits(pas, writes, rounds) {
+				t.Fatalf("step %d: repeatHits(%v) accepted differs", step, pas)
+			}
+		case 6:
+			what = "Snapshot"
+			cb, rb := c.base, r.base
+			s, rs := c.Snapshot(), r.Snapshot()
+			if (s == cb) != (rs == rb) {
+				t.Fatalf("step %d: Snapshot handle reuse %v, oracle %v", step, s == cb, rs == rb)
+			}
+			if s.Bytes() != uint64(len(rs.lines))*16+uint64(sets)*4+24 {
+				t.Fatalf("step %d: Snapshot.Bytes = %d", step, s.Bytes())
+			}
+			snaps = append(snaps, pair{s, rs})
+		case 7:
+			what = "Restore"
+			p := snaps[int(arg)%len(snaps)]
+			if got, want := c.Restore(p.s), r.Restore(p.r); got != want {
+				t.Fatalf("step %d: Restore copied %d metered bytes, oracle %d", step, got, want)
+			}
+		}
+		if d := matchRef(c, r); d != "" {
+			t.Fatalf("step %d (%s of line %d): %s differs from the stamp-LRU oracle", step, what, la, d)
+		}
+	}
+}
+
+// FuzzCacheMatchesStampLRU checks the recency-ordered cache against the
+// stamp-LRU model it replaced on random operation streams: every return
+// value, the counters, the metered restore bytes, the dirty-set bitmap and
+// each set's valid lines in recency order.
+func FuzzCacheMatchesStampLRU(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for geo := 0; geo < 3*len(fuzzWays); geo++ {
+		for _, n := range []int{64, 600} {
+			ops := make([]byte, n)
+			rng.Read(ops)
+			f.Add(uint8(geo), ops)
+		}
+	}
+	f.Fuzz(cacheOracle)
+}

@@ -2,11 +2,15 @@ package tlb
 
 import "math/bits"
 
-// Sizes used for byte accounting, fixed by the packed layouts above.
+// Metered sizes: what a restore charges per entry, per set and per level.
+// They meter the modeled state of a stamp-LRU TLB (VPN word, PFN and a
+// 64-bit LRU stamp per entry, an MRU way index per set, and the LRU tick
+// and two counters per level), not the Go representation, which keeps
+// {vpn word, PFN} entries in recency order. Restore byte counts feed the
+// warm and fleet goldens, so they stay fixed (DESIGN.md §16).
 const (
-	entryBytes = 24 // sizeof(entry): vpnw + pfn + lru
-	mruBytes   = 4  // sizeof(int32)
-	// scalarBytes covers tick, hits, misses.
+	entryBytes  = 24
+	setBytes    = 4
 	scalarBytes = 3 * 8
 )
 
@@ -25,24 +29,21 @@ const (
 // never taken mid-translation. Restore clears it.
 type Snapshot struct {
 	entries      []entry
-	mru          []int32
-	tick         uint64
+	sets         uint64
 	hits, misses uint64
 }
 
-// Bytes returns the full size of the captured state in bytes — the cost of
+// Bytes returns the full metered size of the captured state — the cost of
 // one deep restore, and the denominator for delta-restore savings.
 func (s *Snapshot) Bytes() uint64 {
-	return uint64(len(s.entries))*entryBytes + uint64(len(s.mru))*mruBytes + scalarBytes
+	return uint64(len(s.entries))*entryBytes + s.sets*setBytes + scalarBytes
 }
 
 // rebase marks the live TLB as bit-identical to s.
 func (t *TLB) rebase(s *Snapshot) {
 	t.base = s
 	t.clean = true
-	for i := range t.dirty {
-		t.dirty[i] = 0
-	}
+	clear(t.dirty)
 }
 
 // Snapshot captures the level's mutable state. The returned value is
@@ -55,8 +56,7 @@ func (t *TLB) Snapshot() *Snapshot {
 	}
 	s := &Snapshot{
 		entries: append([]entry(nil), t.entries...),
-		mru:     append([]int32(nil), t.mru...),
-		tick:    t.tick,
+		sets:    t.setMask + 1,
 		hits:    t.hits,
 		misses:  t.misses,
 	}
@@ -68,7 +68,7 @@ func (t *TLB) Snapshot() *Snapshot {
 // fill memo. When s is the TLB's base snapshot only the sets dirtied since
 // the base was established are copied back (zero work, zero allocation for
 // a clean TLB); any other snapshot is a full copy-in that rebases the TLB
-// onto it. Returns the number of bytes copied.
+// onto it. Returns the metered number of bytes copied.
 func (t *TLB) Restore(s *Snapshot) uint64 {
 	t.memoOK = false
 	if s == t.base {
@@ -76,27 +76,25 @@ func (t *TLB) Restore(s *Snapshot) uint64 {
 			return 0
 		}
 		var copied uint64
-		setBytes := uint64(t.ways)*entryBytes + mruBytes
+		perSet := uint64(t.ways)*entryBytes + setBytes
 		for wi, word := range t.dirty {
+			// Copy each run of consecutive dirty sets with one copy.
 			for word != 0 {
-				set := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
-				word &= word - 1
-				base := int(set) * t.ways
-				copy(t.entries[base:base+t.ways], s.entries[base:base+t.ways])
-				t.mru[set] = s.mru[set]
-				copied += setBytes
+				lo := bits.TrailingZeros64(word)
+				n := bits.TrailingZeros64(^(word >> lo))
+				word &^= (1<<n - 1) << lo
+				from, to := (wi<<6+lo)*t.ways, (wi<<6+lo+n)*t.ways
+				copy(t.entries[from:to], s.entries[from:to])
+				copied += uint64(n) * perSet
 			}
 			t.dirty[wi] = 0
 		}
-		t.tick = s.tick
 		t.hits = s.hits
 		t.misses = s.misses
 		t.clean = true
 		return copied + scalarBytes
 	}
 	t.entries = append(t.entries[:0], s.entries...)
-	t.mru = append(t.mru[:0], s.mru...)
-	t.tick = s.tick
 	t.hits = s.hits
 	t.misses = s.misses
 	t.rebase(s)

@@ -10,14 +10,14 @@ import (
 	"memento/internal/telemetry"
 )
 
-// entry is a cached VPN -> PFN translation, packed to 24 bytes: the valid
+// entry is a cached VPN -> PFN translation, packed to 16 bytes: the valid
 // flag rides in the top bit of the VPN word (VPNs are at most 52 bits), so
-// a probe is a single compare against vpn|validBit per way.
+// a probe is a single compare against vpn|validBit per way. An invalid way
+// is the zero entry.
 type entry struct {
 	// vpnw is vpn | validBit.
 	vpnw uint64
 	pfn  uint64
-	lru  uint64
 }
 
 // validBit marks a populated entry in its packed vpn word.
@@ -25,21 +25,17 @@ const validBit = 1 << 63
 
 // TLB is one set-associative translation cache level. Entry storage is one
 // flat, set-major slice (set s occupies entries[s*ways : (s+1)*ways]) so a
-// probe walks contiguous memory instead of chasing a per-set pointer.
+// probe walks contiguous memory instead of chasing a per-set pointer. Each
+// set keeps its valid entries in recency order, most recent first, with
+// invalid ways trailing, so LRU replacement needs no stamps (DESIGN.md §16).
 type TLB struct {
 	entries []entry
 	ways    int
-	// mru[s] is the way index of set s's most-recently-used entry, probed
-	// first on Lookup.
-	mru     []int32
 	setMask uint64
-	tick    uint64
-	// Fill memo: a Lookup miss records the victim way its scan passed over so
-	// the Insert that services the miss can skip a second scan. One-shot —
-	// any mutation (Insert, InvalidatePage, Flush, another Lookup) clears it —
-	// so a consumed memo always matches the cold-path victim choice.
+	// Fill memo: a Lookup miss records the vpn it missed so the Insert that
+	// services the miss can skip the scan for an existing entry. One-shot —
+	// any mutation (Insert, InvalidatePage, Flush, another Lookup) clears it.
 	memoVPN      uint64
-	memoWay      int32
 	memoOK       bool
 	hits, misses uint64
 	lat          uint64
@@ -71,7 +67,6 @@ func New(cfg config.TLBConfig) *TLB {
 	return &TLB{
 		entries: make([]entry, sets*cfg.Ways),
 		ways:    cfg.Ways,
-		mru:     make([]int32, sets),
 		setMask: uint64(sets - 1),
 		lat:     cfg.LatencyCycles,
 		dirty:   make([]uint64, (sets+63)/64),
@@ -84,6 +79,27 @@ func (t *TLB) waysOf(set uint64) []entry {
 	return t.entries[base : base+t.ways]
 }
 
+// position returns the way holding vpn word want (vpn|validBit) in ways, or
+// -1. The scan stops at the first invalid way: only invalid ways follow it.
+func position(ways []entry, want uint64) int {
+	for i := range ways {
+		if ways[i].vpnw == want {
+			return i
+		}
+		if ways[i].vpnw == 0 {
+			break
+		}
+	}
+	return -1
+}
+
+// toFront moves way i of ways to the front with PFN pfn.
+func toFront(ways []entry, i int, pfn uint64) {
+	e := entry{vpnw: ways[i].vpnw, pfn: pfn}
+	copy(ways[1:i+1], ways[:i])
+	ways[0] = e
+}
+
 // Latency returns the lookup latency in cycles.
 func (t *TLB) Latency() uint64 { return t.lat }
 
@@ -94,111 +110,74 @@ func (t *TLB) setOf(vpn uint64) uint64 {
 	return (vpn ^ vpn>>7 ^ vpn>>14) & t.setMask
 }
 
-// Lookup returns the PFN for vpn if cached.
+// Lookup returns the PFN for vpn if cached, making it most recent.
 func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 	set := t.setOf(vpn)
 	ways := t.waysOf(set)
-	want := vpn | validBit
 	t.memoOK = false
 	// Every Lookup mutates either the hit or the miss counter, so the TLB
 	// diverges from its base snapshot even when no set content changes.
 	t.clean = false
-	// MRU fast path: skip the way scan when the last-used entry hits again.
-	if e := &ways[t.mru[set]]; e.vpnw == want {
-		t.tick++
-		e.lru = t.tick
-		t.hits++
-		t.dirty[set>>6] |= 1 << (set & 63)
-		return e.pfn, true
+	// The front way is the most recent entry; most hits land there, and it
+	// stays in place.
+	if ways[0].vpnw == vpn|validBit {
+		pfn = ways[0].pfn
+	} else if i := position(ways, vpn|validBit); i >= 0 {
+		pfn = ways[i].pfn
+		toFront(ways, i, pfn)
+	} else {
+		t.misses++
+		t.memoVPN, t.memoOK = vpn, true
+		return 0, false
 	}
-	// Miss scans track the victim Insert would pick (mirroring its loop
-	// exactly: a later invalid way wins, then lowest LRU) to seed the memo.
-	vi, lru := 0, ^uint64(0)
-	for i := range ways {
-		e := &ways[i]
-		if e.vpnw == want {
-			t.tick++
-			e.lru = t.tick
-			t.hits++
-			t.mru[set] = int32(i)
-			t.dirty[set>>6] |= 1 << (set & 63)
-			return e.pfn, true
-		}
-		if e.vpnw&validBit == 0 {
-			vi, lru = i, 0
-			continue
-		}
-		if e.lru < lru {
-			vi, lru = i, e.lru
-		}
-	}
-	t.misses++
-	t.memoVPN, t.memoWay, t.memoOK = vpn, int32(vi), true
-	return 0, false
+	t.hits++
+	// A hit marks its set even when nothing moves (see Cache.Lookup).
+	t.dirty[set>>6] |= 1 << (set & 63)
+	return pfn, true
 }
 
-// Insert caches a translation, evicting LRU if needed.
+// Insert caches a translation as the set's most recent, evicting the least
+// recent if the set is full.
 func (t *TLB) Insert(vpn, pfn uint64) {
 	set := t.setOf(vpn)
 	ways := t.waysOf(set)
-	t.tick++
 	t.markDirty(set)
-	want := vpn | validBit
-	// Fill-memo fast path: the immediately preceding Lookup missed this very
-	// vpn and already picked the victim way; nothing has mutated since.
-	if t.memoOK && t.memoVPN == vpn {
-		t.memoOK = false
-		ways[t.memoWay] = entry{vpnw: want, pfn: pfn, lru: t.tick}
-		t.mru[set] = t.memoWay
-		return
-	}
+	// The fill memo says the immediately preceding Lookup missed this very
+	// vpn, so there is no entry to update; otherwise look for one.
+	memo := t.memoOK && t.memoVPN == vpn
 	t.memoOK = false
-	vi, lru := 0, ^uint64(0)
-	for i := range ways {
-		if ways[i].vpnw == want {
-			ways[i].pfn = pfn
-			ways[i].lru = t.tick
-			t.mru[set] = int32(i)
+	if !memo {
+		if i := position(ways, vpn|validBit); i >= 0 {
+			toFront(ways, i, pfn)
 			return
 		}
-		if ways[i].vpnw&validBit == 0 {
-			vi, lru = i, 0
-			continue
-		}
-		if ways[i].lru < lru {
-			vi, lru = i, ways[i].lru
-		}
 	}
-	ways[vi] = entry{vpnw: want, pfn: pfn, lru: t.tick}
-	t.mru[set] = int32(vi)
+	copy(ways[1:], ways)
+	ways[0] = entry{vpnw: vpn | validBit, pfn: pfn}
 }
 
 // InvalidatePage drops the translation for vpn (a shootdown of one page).
-// A stale mru entry is harmless: the fast path re-checks validity and vpn.
+// The ways behind it close up, so invalid ways stay trailing.
 func (t *TLB) InvalidatePage(vpn uint64) {
 	t.memoOK = false
 	set := t.setOf(vpn)
 	ways := t.waysOf(set)
-	want := vpn | validBit
-	for i := range ways {
-		if ways[i].vpnw == want {
-			ways[i] = entry{}
-			t.markDirty(set)
-		}
+	if i := position(ways, vpn|validBit); i >= 0 {
+		copy(ways[i:], ways[i+1:])
+		ways[len(ways)-1] = entry{}
+		t.markDirty(set)
 	}
 }
 
 // Flush clears all translations (context switch without ASIDs).
 func (t *TLB) Flush() {
 	t.memoOK = false
-	for i := range t.entries {
-		t.entries[i] = entry{}
-	}
+	clear(t.entries)
 	// Every set changed; mark only real set indices so the delta-restore
 	// walk never sees a phantom set (set counts below 64 leave the tail of
 	// the last bitmap word permanently clear).
-	for s := range t.mru {
-		t.dirty[s>>6] |= 1 << (uint(s) & 63)
+	for s := uint64(0); s <= t.setMask; s++ {
+		t.dirty[s>>6] |= 1 << (s & 63)
 	}
 	t.clean = false
 }
