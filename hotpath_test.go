@@ -11,6 +11,7 @@ import (
 
 	"memento/internal/cache"
 	"memento/internal/config"
+	"memento/internal/core"
 	"memento/internal/dram"
 	"memento/internal/kernel"
 	"memento/internal/machine"
@@ -137,9 +138,10 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 }
 
 // TestTeardownFastForwardZeroAlloc pins the allocation-free teardown path:
-// the hierarchy's hit replay, and a steady-state warm munmap of a populated
-// VMA restored from a checkpoint, whose copy-on-write clears take their
-// private page-table nodes from the kernel's recycled ones.
+// the hierarchy's hit replay, and the steady-state warm teardown of both
+// page tables restored from a checkpoint — a munmap of a populated VMA and
+// a FreeArena of a populated arena — whose copy-on-write clears take their
+// private nodes from the machine's free list.
 func TestTeardownFastForwardZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts allocation counts")
@@ -195,6 +197,46 @@ func TestTeardownFastForwardZeroAlloc(t *testing.T) {
 	}
 	if mallocs != 0 {
 		t.Errorf("warm Munmap allocated %d times over %d runs, want 0", mallocs, runs)
+	}
+
+	lay, err := core.NewLayout(cfg.Memento, core.DefaultRegionStart, core.DefaultRegionBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := core.NewPageAllocator(cfg, lay, h, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The largest class's arena, backed over its first 24 pages: runs of
+	// present PTEs across several PTE lines, then a run of zero ones.
+	a, _, err := pa.AllocArena(lay.Classes() - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := uint64(0); off < 24<<config.PageShift; off += config.PageSize {
+		if _, _, err := pa.Walk((a.BaseVA + off) >> config.PageShift); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ks, hs, ps := k.Snapshot(), h.Snapshot(), pa.Snapshot()
+	mallocs = 0
+	for i := 0; i < warmup+runs; i++ {
+		k.Restore(ks)
+		h.Restore(hs)
+		p := core.RestorePageAllocator(cfg, lay, h, k, ps)
+		runtime.ReadMemStats(&before)
+		p.FreeArena(a)
+		runtime.ReadMemStats(&after)
+		// Release hands the private nodes back, as a warm run's teardown does.
+		if err := p.Release(); err != nil {
+			t.Fatal(err)
+		}
+		if i >= warmup {
+			mallocs += after.Mallocs - before.Mallocs
+		}
+	}
+	if mallocs != 0 {
+		t.Errorf("warm FreeArena allocated %d times over %d runs, want 0", mallocs, runs)
 	}
 }
 

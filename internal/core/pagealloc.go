@@ -2,25 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"memento/internal/config"
 	"memento/internal/kernel"
+	"memento/internal/pagetable"
 	"memento/internal/simerr"
 )
-
-// Mem is physically-addressed memory (the cache hierarchy); the page
-// allocator sits on the memory controller and its page-table traffic goes
-// through it.
-type Mem interface {
-	Access(pa uint64, write bool) uint64
-}
-
-// hitRepeater is the cache hierarchy's fast path for repeating an access
-// tuple whose lines are all L1-resident (cache.Hierarchy.RepeatHits).
-type hitRepeater interface {
-	RepeatHits(pas []uint64, writes, rounds uint64) (uint64, bool)
-}
 
 // ErrRegionExhausted is returned when a size-class stripe runs out of
 // virtual addresses. It wraps simerr.ErrRegionExhausted.
@@ -79,101 +66,6 @@ type PageAllocStats struct {
 	Shootdowns uint64
 }
 
-// mptNode is one node of the hardware-built Memento page table. The table
-// pages come from the physical page pool, so walks touch real simulated
-// addresses.
-//
-// shared marks a node captured into a PageAllocSnapshot: it is frozen and
-// may be aliased by any number of snapshots and live allocators. Mutators
-// clone a shared node (and the path above it) before writing —
-// copy-on-write path copying. A shared node's descendants are always shared
-// (the capture walk marks whole subtrees, and a mutator never links a
-// private child under a shared parent), so one flag check per level
-// suffices.
-type mptNode struct {
-	pfn      uint64
-	children []*mptNode
-	pte      []uint64 // leaf: pfn+1, 0 = invalid
-	shared   bool
-}
-
-const mptLevels = 4
-const mptFanout = 512
-
-// mptLeaves and mptDirs recycle private Memento table nodes, so a warm
-// invocation's table churn reuses 4 KiB entry arrays instead of allocating
-// them. Release hands back the private nodes of a torn-down table; a
-// private node has one parent and no snapshot holds it, so once the table
-// is dropped nothing can reach it. Snapshot-frozen (shared) nodes are never
-// recycled, since other snapshots and machines may still read them. A
-// PageAllocator lives for one process, so the pools are per package.
-var (
-	mptLeaves = sync.Pool{New: func() any { return &mptNode{pte: make([]uint64, mptFanout)} }}
-	mptDirs   = sync.Pool{New: func() any { return &mptNode{children: make([]*mptNode, mptFanout)} }}
-)
-
-// getMPT returns a private node of the given kind; its entries are stale.
-func getMPT(leaf bool) *mptNode {
-	if leaf {
-		return mptLeaves.Get().(*mptNode)
-	}
-	return mptDirs.Get().(*mptNode)
-}
-
-// putMPT recycles n unless it is shared.
-func putMPT(n *mptNode) {
-	switch {
-	case n.shared:
-	case n.pte != nil:
-		mptLeaves.Put(n)
-	default:
-		mptDirs.Put(n)
-	}
-}
-
-// freshMPT returns an empty private node backed by frame pfn.
-func freshMPT(pfn uint64, leaf bool) *mptNode {
-	n := getMPT(leaf)
-	n.pfn = pfn
-	clear(n.pte)
-	clear(n.children)
-	return n
-}
-
-// cloneMPTShallow returns a private copy of n: same pfn and entries, child
-// pointers still aliasing the (shared) originals.
-func cloneMPTShallow(n *mptNode) *mptNode {
-	c := getMPT(n.pte != nil)
-	c.pfn = n.pfn
-	copy(c.pte, n.pte)
-	copy(c.children, n.children)
-	return c
-}
-
-// markSharedMPT freezes a subtree for snapshot aliasing, pruning at
-// already-shared (immutable) nodes.
-func markSharedMPT(n *mptNode) {
-	if n == nil || n.shared {
-		return
-	}
-	n.shared = true
-	for _, c := range n.children {
-		markSharedMPT(c)
-	}
-}
-
-// countMPTBytes returns the simulated size of a subtree: one page per node.
-func countMPTBytes(n *mptNode) uint64 {
-	if n == nil {
-		return 0
-	}
-	b := uint64(config.PageSize)
-	for _, c := range n.children {
-		b += countMPTBytes(c)
-	}
-	return b
-}
-
 // PageAllocator is Memento's hardware page allocator (Section 3.2). It
 // lives at the memory controller and (i) allocates arena virtual addresses
 // by bumping per-size-class pointers cached in the AAC, and (ii) backs
@@ -183,8 +75,11 @@ func countMPTBytes(n *mptNode) uint64 {
 type PageAllocator struct {
 	cfg    config.Machine
 	layout *Layout
-	mem    Mem
-	k      *kernel.Kernel
+	// mem is the physically-addressed memory (the cache hierarchy) the
+	// allocator's page-table traffic goes through: it sits on the memory
+	// controller.
+	mem pagetable.Mem
+	k   *kernel.Kernel
 
 	// pool is the free physical page pool.
 	pool []uint64
@@ -195,8 +90,10 @@ type PageAllocator struct {
 	// AAC is direct-mapped with one slot per recently used class, and with
 	// 32 entries for 64 classes two classes alias per slot.
 	aacSlots []int
-	// root is the MPTR-rooted Memento page table for the process.
-	root *mptNode
+	// pt is the MPTR-rooted Memento page table for the process. Its table
+	// pages come from the pool; its nodes recycle through the kernel's
+	// free list.
+	pt pagetable.Table
 	// shootdownVec tracks which cores have walked this address space
 	// (Section 3.2's per-process hardware bit vector).
 	shootdownVec uint64
@@ -216,9 +113,8 @@ type PageAllocator struct {
 	base    *PageAllocSnapshot
 	mutated bool
 	// rep is mem's hit-replay fast path, nil when mem lacks it (test
-	// fakes); acc holds the access tuple of the teardown run in flight.
-	rep hitRepeater
-	acc [mptLevels]uint64
+	// fakes).
+	rep pagetable.HitRepeater
 }
 
 // SetAllocHook attaches a fault-injection hook to the pool (nil detaches).
@@ -233,16 +129,17 @@ func (p *PageAllocator) noteBacked(n uint64) {
 }
 
 // NewPageAllocator builds the page allocator and fills its pool.
-func NewPageAllocator(cfg config.Machine, layout *Layout, mem Mem, k *kernel.Kernel) (*PageAllocator, error) {
+func NewPageAllocator(cfg config.Machine, layout *Layout, mem pagetable.Mem, k *kernel.Kernel) (*PageAllocator, error) {
 	p := &PageAllocator{
 		cfg:      cfg,
 		layout:   layout,
 		mem:      mem,
 		k:        k,
+		pt:       pagetable.New(k.PageTableNodes(), nil),
 		bump:     make([]uint64, layout.Classes()),
 		aacSlots: make([]int, cfg.Memento.AAC.Entries),
 	}
-	p.rep, _ = mem.(hitRepeater)
+	p.rep, _ = mem.(pagetable.HitRepeater)
 	for c := range p.bump {
 		p.bump[c] = layout.StripeStart(c)
 	}
@@ -346,7 +243,7 @@ func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
 		return nil, cycles, simerr.WrapVA(err, "arena-alloc", va)
 	}
 	vpn := va >> config.PageShift
-	instCycles, err := p.installMapping(vpn, frame)
+	instCycles, err := p.pt.Install(vpn, frame, p.mem, p.newTablePage)
 	cycles += instCycles
 	if err != nil {
 		p.bump[c] = va
@@ -366,53 +263,17 @@ func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
 	return a, cycles, nil
 }
 
-// installMapping adds vpn -> frame to the Memento page table, creating
-// levels from the pool as needed. Each level touched costs one memory
-// access; new table pages cost a pool pop plus the service constant.
-func (p *PageAllocator) installMapping(vpn, frame uint64) (uint64, error) {
-	var cycles uint64
-	newNode := func(leaf bool) (*mptNode, error) {
-		f, err := p.popPage()
-		if err != nil {
-			return nil, err
-		}
-		cycles += p.cfg.Cost.MementoPageWalkServiceCycles
-		p.stats.TablePages++
-		p.k.CountKernelPage(1)
-		return freshMPT(f, leaf), nil
+// newTablePage backs a new Memento table page, the frame source of every
+// install: a pool pop plus the service constant. (Each level an install
+// touches also costs one memory access.)
+func (p *PageAllocator) newTablePage() (frame, cycles uint64, err error) {
+	frame, err = p.popPage()
+	if err != nil {
+		return 0, 0, err
 	}
-	if p.root == nil {
-		n, err := newNode(false)
-		if err != nil {
-			return cycles, err
-		}
-		p.root = n
-	} else if p.root.shared {
-		p.root = cloneMPTShallow(p.root)
-	}
-	node := p.root
-	for level := mptLevels - 1; level >= 1; level-- {
-		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
-		cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, false)
-		if node.children[idx] == nil {
-			n, err := newNode(level == 1)
-			if err != nil {
-				return cycles, err
-			}
-			cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, true)
-			node.children[idx] = n
-		} else if node.children[idx].shared {
-			// Copy-on-write: privatize the path before the PTE write below.
-			// Host-side bookkeeping only — the simulated frame is unchanged,
-			// so no cycles are charged.
-			node.children[idx] = cloneMPTShallow(node.children[idx])
-		}
-		node = node.children[idx]
-	}
-	idx := vpn & (mptFanout - 1)
-	cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, true)
-	node.pte[idx] = frame + 1
-	return cycles, nil
+	p.stats.TablePages++
+	p.k.CountKernelPage(1)
+	return frame, p.cfg.Cost.MementoPageWalkServiceCycles, nil
 }
 
 // Walk services a flagged page walk for a Memento-region VPN (Section 3.2):
@@ -436,7 +297,7 @@ func (p *PageAllocator) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) 
 	if va >= p.bump[c] {
 		return 0, 0, simerr.WrapVA(simerr.ErrSegfault, "memento-walk", va)
 	}
-	pfn, walkCycles, mapped := p.lookup(vpn)
+	pfn, walkCycles, mapped := p.pt.Walk(vpn, p.mem)
 	cycles += walkCycles
 	if mapped {
 		p.stats.WalkCycles += cycles
@@ -449,7 +310,7 @@ func (p *PageAllocator) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) 
 		return 0, cycles, simerr.WrapVA(perr, "memento-walk", va)
 	}
 	cycles += p.cfg.Cost.MementoPageWalkServiceCycles
-	instCycles, perr := p.installMapping(vpn, frame)
+	instCycles, perr := p.pt.Install(vpn, frame, p.mem, p.newTablePage)
 	cycles += instCycles
 	if perr != nil {
 		p.pool = append(p.pool, frame)
@@ -465,85 +326,24 @@ func (p *PageAllocator) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) 
 	return frame, cycles, nil
 }
 
-// lookup walks the Memento table read-only.
-func (p *PageAllocator) lookup(vpn uint64) (pfn uint64, cycles uint64, ok bool) {
-	node := p.root
-	if node == nil {
-		return 0, 0, false
-	}
-	for level := mptLevels - 1; level >= 1; level-- {
-		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
-		cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, false)
-		node = node.children[idx]
-		if node == nil {
-			return 0, cycles, false
-		}
-	}
-	idx := vpn & (mptFanout - 1)
-	cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, false)
-	if node.pte[idx] == 0 {
-		return 0, cycles, false
-	}
-	return node.pte[idx] - 1, cycles, true
-}
-
 // FreeArena reclaims an arena whose last object died: walk the Memento
 // table, return backing pages to the pool, invalidate PTEs, and issue TLB
 // shootdowns to cores recorded in the shootdown vector.
 func (p *PageAllocator) FreeArena(a *Arena) uint64 {
 	p.mutated = true
-	var cycles uint64
 	startVPN := a.BaseVA >> config.PageShift
-	endVPN := startVPN + p.layout.ArenaPages(a.Class)
-	// The same run walk as the kernel's munmap (DESIGN.md §15): a run's
-	// first VPN is cleared through mem, the rest fast-forward as L1 hits
-	// when the hierarchy can, else they are cleared one by one.
-	for vpn := startVPN; vpn < endVPN; {
-		n, m, leaf := p.nextRun(vpn, endVPN)
-		next := vpn + n
-		cycles += p.clearOne(vpn)
-		vpn++
-		if vpn < next && p.rep != nil {
-			var writes uint64
-			if leaf != nil {
-				writes = 1 << (m - 1)
-			}
-			if c, ok := p.rep.RepeatHits(p.acc[:m], writes, next-vpn); ok {
-				cycles += c
-				if leaf != nil && leaf.shared {
-					// The first clear privatized the path.
-					leaf = p.ownPath(vpn)
-				}
-				for ; leaf != nil && vpn < next; vpn++ {
-					e := &leaf.pte[vpn&(mptFanout-1)]
-					frame := *e - 1
-					*e = 0
-					p.reclaim(vpn, frame)
-				}
-				vpn = next
-			}
-		}
-		for ; vpn < next; vpn++ {
-			cycles += p.clearOne(vpn)
-		}
-	}
+	// The same run walk as the kernel's munmap (DESIGN.md §15); reclaim
+	// never fails.
+	cycles, _ := p.pt.ClearRange(startVPN, startVPN+p.layout.ArenaPages(a.Class), p.mem, p.rep, p.reclaim)
 	p.stats.ArenaFrees++
 	return cycles
 }
 
-// clearOne is the per-VPN reference for FreeArena: the PTE clear through
-// mem, then the page's reclamation. It returns the cycles.
-func (p *PageAllocator) clearOne(vpn uint64) uint64 {
-	frame, c, mapped := p.clear(vpn)
-	if mapped {
-		p.reclaim(vpn, frame)
-	}
-	return c
-}
-
 // reclaim returns a cleared PTE's frame to the pool and shoots down its
-// translation on the cores that walked this table.
-func (p *PageAllocator) reclaim(vpn, frame uint64) {
+// translation on the cores that walked this table. It is FreeArena's
+// per-page step: the pool sits at the controller, so reclaiming costs no
+// cycles beyond the PTE clear, and it cannot fail.
+func (p *PageAllocator) reclaim(vpn, frame uint64) (uint64, error) {
 	p.pool = append(p.pool, frame)
 	p.stats.PagesReclaimed++
 	p.residentPages--
@@ -551,116 +351,17 @@ func (p *PageAllocator) reclaim(vpn, frame uint64) {
 		p.Shootdown(vpn)
 		p.stats.Shootdowns++
 	}
-}
-
-// mptPTEsPerLine is the number of PTEs in one 64-byte cache line.
-const mptPTEsPerLine = config.LineSize / 8
-
-// nextRun measures the FreeArena run at vpn (< end), as the kernel's page
-// table does: the n consecutive VPNs whose clear issues the same accesses
-// with the same outcome, written to p.acc[:m], and the run's leaf when its
-// PTEs are present. Host bookkeeping only.
-func (p *PageAllocator) nextRun(vpn, end uint64) (n uint64, m int, leaf *mptNode) {
-	node := p.root
-	if node == nil {
-		return end - vpn, 0, nil
-	}
-	for level := mptLevels - 1; level >= 1; level-- {
-		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
-		p.acc[m] = node.pfn<<config.PageShift + idx*8
-		m++
-		if node = node.children[idx]; node == nil {
-			shift := uint(9 * level)
-			return min(end, (vpn>>shift+1)<<shift) - vpn, m, nil
-		}
-	}
-	idx := vpn & (mptFanout - 1)
-	lim := min(end-vpn, mptFanout-idx)
-	present := node.pte[idx] != 0
-	if present {
-		p.acc[m] = node.pfn<<config.PageShift + idx*8
-		m++
-		lim = min(lim, mptPTEsPerLine-idx%mptPTEsPerLine)
-		leaf = node
-	}
-	n = 1
-	for n < lim && (node.pte[idx+n] != 0) == present {
-		n++
-	}
-	return n, m, leaf
-}
-
-// clear invalidates the PTE for vpn, returning the frame it held.
-func (p *PageAllocator) clear(vpn uint64) (frame uint64, cycles uint64, ok bool) {
-	node := p.root
-	if node == nil {
-		return 0, 0, false
-	}
-	for level := mptLevels - 1; level >= 1; level-- {
-		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
-		cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, false)
-		node = node.children[idx]
-		if node == nil {
-			return 0, cycles, false
-		}
-	}
-	idx := vpn & (mptFanout - 1)
-	if node.pte[idx] == 0 {
-		return 0, cycles, false
-	}
-	frame = node.pte[idx] - 1
-	if node.shared {
-		// Copy-on-write: a shared leaf implies a shared path (a private node
-		// is never linked under a shared parent), so privatize the whole
-		// path before the PTE write. Host bookkeeping only, no cycles.
-		node = p.ownPath(vpn)
-	}
-	node.pte[idx] = 0
-	cycles += p.mem.Access(node.pfn<<config.PageShift+idx*8, true)
-	return frame, cycles, true
-}
-
-// ownPath privatizes every node on vpn's walk path, cloning shared nodes,
-// and returns the (now private) leaf. Callers must know the path exists.
-func (p *PageAllocator) ownPath(vpn uint64) *mptNode {
-	if p.root.shared {
-		p.root = cloneMPTShallow(p.root)
-	}
-	node := p.root
-	for level := mptLevels - 1; level >= 1; level-- {
-		idx := (vpn >> uint(9*level)) & (mptFanout - 1)
-		if node.children[idx].shared {
-			node.children[idx] = cloneMPTShallow(node.children[idx])
-		}
-		node = node.children[idx]
-	}
-	return node
+	return 0, nil
 }
 
 // Release returns the whole pool and all table pages to the OS (process
 // teardown). The caller must have freed or abandoned all arenas first.
 func (p *PageAllocator) Release() error {
 	p.mutated = true
-	frames := p.pool
+	// The pool, then the table's still-mapped data pages and table pages;
+	// its private nodes go back to the kernel's free list.
+	frames := p.pt.Drop(p.pool)
 	p.pool = nil
-	var collect func(n *mptNode)
-	collect = func(n *mptNode) {
-		if n == nil {
-			return
-		}
-		for _, c := range n.children {
-			collect(c)
-		}
-		for _, e := range n.pte {
-			if e != 0 {
-				frames = append(frames, e-1) // still-mapped data pages
-			}
-		}
-		frames = append(frames, n.pfn)
-		putMPT(n)
-	}
-	collect(p.root)
-	p.root = nil
 	return p.k.FreePoolPages(frames)
 }
 

@@ -3,13 +3,14 @@ package core
 import (
 	"memento/internal/config"
 	"memento/internal/kernel"
+	"memento/internal/pagetable"
 )
 
 // Snapshots of the Memento hardware split along mutability lines. The
-// MPTR-rooted page table is a pointer tree, so capture freezes it in place
-// (mptNode.shared) and both the snapshot and any live allocator restored
-// from it alias the nodes until a mutation clones the affected path —
-// copy-on-write, exactly like the kernel page table. The arena graph, by
+// MPTR-rooted page table is the same radix tree as the kernel's
+// (internal/pagetable), so capture freezes it in place and both the
+// snapshot and any live allocator restored from it alias the nodes until a
+// mutation clones the affected path — copy-on-write. The arena graph, by
 // contrast, is a doubly-linked structure the object allocator rewires
 // constantly, so it stays deep-copied on capture and on every restore.
 // Attachment state (Shootdown callbacks, fault-injection hooks) is never
@@ -28,7 +29,7 @@ type PageAllocSnapshot struct {
 	pool          []uint64
 	bump          []uint64
 	aacSlots      []int
-	root          *mptNode
+	root          *pagetable.Node
 	shootdownVec  uint64
 	stats         PageAllocStats
 	residentPages uint64
@@ -68,17 +69,17 @@ func (p *PageAllocator) Snapshot() *PageAllocSnapshot {
 	if !p.mutated && p.base != nil {
 		return p.base
 	}
-	markSharedMPT(p.root)
+	root, treeBytes := p.pt.Freeze()
 	s := &PageAllocSnapshot{
 		pool:          append([]uint64(nil), p.pool...),
 		bump:          append([]uint64(nil), p.bump...),
 		aacSlots:      append([]int(nil), p.aacSlots...),
-		root:          p.root,
+		root:          root,
 		shootdownVec:  p.shootdownVec,
 		stats:         p.stats,
 		residentPages: p.residentPages,
 		poolPops:      p.poolPops,
-		treeBytes:     countMPTBytes(p.root),
+		treeBytes:     treeBytes,
 	}
 	p.base = s
 	p.mutated = false
@@ -97,7 +98,7 @@ func (p *PageAllocator) Restore(s *PageAllocSnapshot) uint64 {
 	p.pool = append(p.pool[:0], s.pool...)
 	p.bump = append(p.bump[:0], s.bump...)
 	p.aacSlots = append(p.aacSlots[:0], s.aacSlots...)
-	p.root = s.root
+	p.pt = pagetable.New(p.k.PageTableNodes(), s.root)
 	p.shootdownVec = s.shootdownVec
 	p.stats = s.stats
 	p.residentPages = s.residentPages
@@ -112,9 +113,9 @@ func (p *PageAllocator) Restore(s *PageAllocSnapshot) uint64 {
 // snapshot's frames are already accounted as allocated in the kernel
 // snapshot taken alongside it. The page table is aliased (copy-on-write).
 // The caller wires Shootdown and any alloc hook afterwards.
-func RestorePageAllocator(cfg config.Machine, layout *Layout, mem Mem, k *kernel.Kernel, s *PageAllocSnapshot) *PageAllocator {
+func RestorePageAllocator(cfg config.Machine, layout *Layout, mem pagetable.Mem, k *kernel.Kernel, s *PageAllocSnapshot) *PageAllocator {
 	p := &PageAllocator{cfg: cfg, layout: layout, mem: mem, k: k}
-	p.rep, _ = mem.(hitRepeater)
+	p.rep, _ = mem.(pagetable.HitRepeater)
 	p.Restore(s)
 	return p
 }

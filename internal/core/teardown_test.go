@@ -9,6 +9,7 @@ import (
 	"memento/internal/config"
 	"memento/internal/dram"
 	"memento/internal/kernel"
+	"memento/internal/pagetable"
 	"memento/internal/tlb"
 )
 
@@ -28,7 +29,7 @@ func newTeardownFixture(t *testing.T, fast bool) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mem Mem = h
+	var mem pagetable.Mem = h
 	if !fast {
 		mem = perAccessMem{h}
 	}
@@ -125,9 +126,10 @@ func TestFreeArenaFastForwardMatchesPerVPN(t *testing.T) {
 		if !reflect.DeepEqual(fast.h.Snapshot(), slow.h.Snapshot()) {
 			t.Fatalf("seed %d: cache hierarchy state diverges", seed)
 		}
-		// The live tables, and the checkpoint tables they diverged from by
-		// copy on write, must hold the same entries.
-		if !reflect.DeepEqual(fast.pa.root, slow.pa.root) || !reflect.DeepEqual(snapFast, snapSlow) ||
+		// The live tables (through one more capture), and the checkpoint
+		// tables they diverged from by copy on write, must hold the same
+		// entries.
+		if !reflect.DeepEqual(fast.pa.Snapshot(), slow.pa.Snapshot()) || !reflect.DeepEqual(snapFast, snapSlow) ||
 			!reflect.DeepEqual(lateFast, lateSlow) {
 			t.Fatalf("seed %d: page tables diverge", seed)
 		}
@@ -156,7 +158,7 @@ func TestReleaseRecyclesOnlyPrivateNodes(t *testing.T) {
 	translate := func(p *PageAllocator) []uint64 {
 		out := make([]uint64, len(vas))
 		for i, va := range vas {
-			pfn, _, ok := p.lookup(va >> config.PageShift)
+			pfn, _, ok := p.pt.Walk(va>>config.PageShift, p.mem)
 			if !ok {
 				t.Fatalf("va %#x unmapped", va)
 			}
@@ -172,7 +174,7 @@ func TestReleaseRecyclesOnlyPrivateNodes(t *testing.T) {
 		// the table frozen, then tear it all down.
 		for i, va := range vas {
 			if i%64 < 8 {
-				p.clear(va >> config.PageShift)
+				p.pt.Clear(va>>config.PageShift, p.mem)
 			}
 		}
 		if err := p.Release(); err != nil {
@@ -190,48 +192,6 @@ func TestReleaseRecyclesOnlyPrivateNodes(t *testing.T) {
 		}
 		if got := translate(RestorePageAllocator(f.cfg, f.lay, f.h, f.k, snap)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: checkpoint table changed after release", round)
-		}
-	}
-}
-
-// TestMementoNextRun pins the run boundaries FreeArena walks by: zero PTEs
-// up to the next present one or the leaf's end, present PTEs up to the end
-// of their 64-byte line, and a missing leaf up to the end of its block.
-func TestMementoNextRun(t *testing.T) {
-	f := newFixture(t)
-	p := f.pa
-	base := uint64(3) << 27 // a fresh level-2 block: no tables yet
-	for _, vpn := range []uint64{base + 1, base + 1024 + 3} {
-		if _, err := p.installMapping(vpn, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for vpn := base + 1536 + 6; vpn < base+1536+16; vpn++ {
-		if _, err := p.installMapping(vpn, 7); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, c := range []struct {
-		vpn, end, n uint64
-		m           int
-		present     bool
-	}{
-		{base, base + 2048, 1, 3, false},
-		{base + 1, base + 2048, 1, 4, true},
-		{base + 2, base + 2048, 510, 3, false},
-		{base + 512, base + 2048, 512, 3, false}, // missing leaf
-		{base + 600, base + 700, 100, 3, false},  // cut at the range's end
-		{base + 1024, base + 2048, 3, 3, false},
-		{base + 1027, base + 2048, 1, 4, true},
-		{base + 1536 + 6, base + 2048, 2, 4, true}, // cut at the PTE line's end
-		{base + 1536 + 8, base + 2048, 8, 4, true},
-		{base + 1536 + 16, base + 2048, 496, 3, false},
-		{base + 1<<18, base + 3<<18, 1 << 18, 2, false}, // missing level-2 table
-	} {
-		n, m, leaf := p.nextRun(c.vpn, c.end)
-		if n != c.n || m != c.m || (leaf != nil) != c.present {
-			t.Errorf("nextRun(base+%d): n=%d m=%d present=%v, want n=%d m=%d present=%v",
-				c.vpn-base, n, m, leaf != nil, c.n, c.m, c.present)
 		}
 	}
 }

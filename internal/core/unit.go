@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"memento/internal/config"
+	"memento/internal/pagetable"
 	"memento/internal/simerr"
 )
 
@@ -31,7 +32,7 @@ type Unit struct {
 	// pa is the hardware page allocator at the memory controller.
 	pa *PageAllocator
 	// mem is the physically-addressed cache hierarchy.
-	mem Mem
+	mem pagetable.Mem
 	// translator is the MMU path for VA resolution.
 	translator Translator
 	// arenaByBase is the simulation's index of live arenas; hardware
@@ -50,7 +51,7 @@ const crossFreeBufCap = 64
 // NewUnit builds the Memento hardware for one core/process. The error wraps
 // simerr.ErrInvalidConfig when the configured arena geometry does not match
 // the fixed 256-bit header bitmap.
-func NewUnit(cfg config.Machine, layout *Layout, pa *PageAllocator, mem Mem, tr Translator) (*Unit, error) {
+func NewUnit(cfg config.Machine, layout *Layout, pa *PageAllocator, mem pagetable.Mem, tr Translator) (*Unit, error) {
 	if cfg.Memento.ObjectsPerArena != nObjs {
 		return nil, fmt.Errorf("core: configured %d objects per arena; bitmap supports %d: %w",
 			cfg.Memento.ObjectsPerArena, nObjs, simerr.ErrInvalidConfig)

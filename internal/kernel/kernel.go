@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"memento/internal/config"
+	"memento/internal/pagetable"
 	"memento/internal/simerr"
 	"memento/internal/telemetry"
 )
@@ -98,7 +99,7 @@ type vma struct {
 // AddressSpace is one process's virtual memory image.
 type AddressSpace struct {
 	k  *Kernel
-	pt *PageTable
+	pt pagetable.Table
 	// vmas is kept sorted by startVPN.
 	vmas []vma
 	// cursor is the next VA for a fresh mmap, in VPN units.
@@ -143,7 +144,7 @@ type AllocHook interface {
 // a machine.
 type Kernel struct {
 	cfg   config.Machine
-	mem   Mem
+	mem   pagetable.Mem
 	buddy *Buddy
 	stats Stats
 	// forcePopulate applies MAP_POPULATE to every mmap (the Section 6.6
@@ -161,21 +162,13 @@ type Kernel struct {
 	// (see snapshot.go).
 	base *Snapshot
 	// rep is mem's hit-replay fast path, nil when mem lacks it (test fakes).
-	rep hitRepeater
-	// acc holds the access tuple of the teardown run in flight; owning it
-	// keeps the tuple off the heap when it crosses the rep interface.
-	acc [ptLevels]uint64
-	// nodes recycles the private page-table nodes reapEmpty frees.
-	nodes ptFree
+	rep pagetable.HitRepeater
+	// nodes recycles the private nodes of every page table on the machine:
+	// the kernel's and the Memento allocator's.
+	nodes pagetable.FreeList
 	// munmapPageCycles and buddyFreeCycles are the per-page instruction
 	// costs of unmapping, fixed by the configuration.
 	munmapPageCycles, buddyFreeCycles uint64
-}
-
-// hitRepeater is the cache hierarchy's fast path for repeating an access
-// tuple whose lines are all L1-resident (cache.Hierarchy.RepeatHits).
-type hitRepeater interface {
-	RepeatHits(pas []uint64, writes, rounds uint64) (uint64, bool)
 }
 
 // SetProbe attaches a telemetry probe (nil detaches).
@@ -212,12 +205,12 @@ func (k *Kernel) allocFrame(order int) (uint64, error) {
 // New creates a kernel managing the machine's physical memory. To keep the
 // buddy metadata proportionate to simulated footprints, the managed range is
 // capped at 4 GiB of frames; the workloads use tens of MiB.
-func New(cfg config.Machine, mem Mem) *Kernel {
+func New(cfg config.Machine, mem pagetable.Mem) *Kernel {
 	frames := cfg.DRAM.SizeBytes >> config.PageShift
 	if max := uint64(4 << 30 >> config.PageShift); frames > max {
 		frames = max
 	}
-	rep, _ := mem.(hitRepeater)
+	rep, _ := mem.(pagetable.HitRepeater)
 	return &Kernel{
 		cfg:   cfg,
 		mem:   mem,
@@ -249,7 +242,7 @@ func (k *Kernel) NewAddressSpace() (*AddressSpace, error) {
 	k.stats.KernelPagesAllocated++
 	return &AddressSpace{
 		k:         k,
-		pt:        &PageTable{nodes: &k.nodes},
+		pt:        pagetable.New(&k.nodes, nil),
 		cursor:    mmapBaseVPN,
 		metaFrame: frame,
 	}, nil
@@ -270,7 +263,7 @@ func (k *Kernel) DestroyAddressSpace(as *AddressSpace) error {
 	var firstErr error
 	for _, v := range as.vmas {
 		for vpn := v.startVPN; vpn < v.endVPN; vpn++ {
-			pfn, _, present := as.pt.clear(vpn, nopMem{})
+			pfn, _, present := as.pt.Clear(vpn, nopMem{})
 			if !present {
 				continue
 			}
@@ -281,7 +274,7 @@ func (k *Kernel) DestroyAddressSpace(as *AddressSpace) error {
 		}
 	}
 	as.vmas = as.vmas[:0]
-	k.reapEmpty(as.pt)
+	k.reapEmpty(&as.pt)
 	if as.metaFrame != 0 {
 		if err := k.buddy.Free(as.metaFrame); err != nil && firstErr == nil {
 			firstErr = err
@@ -373,7 +366,7 @@ func (k *Kernel) populatePage(as *AddressSpace, vpn uint64) (cycles uint64, err 
 	cycles += k.cfg.InstrCycles(k.cfg.Cost.BuddyAllocInstrs)
 	cycles += k.zeroPage(frame)
 	k.stats.ZeroedPages++
-	c, err := k.install(as.pt, vpn, frame)
+	c, err := as.pt.Install(vpn, frame, k.mem, k.newPTNode)
 	cycles += c
 	if err != nil {
 		// The data frame was never mapped; hand it straight back.
@@ -411,54 +404,15 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 	cycles += k.cfg.InstrCycles(k.cfg.Cost.MunmapBaseInstrs)
 	cycles += as.vmaAccess(6, true)
 
-	// Walk the range in runs (DESIGN.md §15). A run's first VPN is cleared
-	// through mem as before; the others repeat its accesses, which the
-	// hierarchy fast-forwards as L1 hits when it can, leaving only their
-	// side effects, in order. Otherwise they are cleared one by one.
-	endVPN := startVPN + pages
-	for vpn := startVPN; vpn < endVPN; {
-		n, m, leaf := as.pt.nextRun(vpn, endVPN, &k.acc)
-		next := vpn + n
-		c, err := k.clearOne(as, vpn)
-		cycles += c
-		if err != nil {
-			return cycles, err
-		}
-		vpn++
-		if vpn < next && k.rep != nil {
-			var writes uint64
-			if leaf != nil {
-				writes = 1 << (m - 1)
-			}
-			if c, ok := k.rep.RepeatHits(k.acc[:m], writes, next-vpn); ok {
-				cycles += c
-				if leaf != nil && leaf.shared {
-					// The first clear privatized the path.
-					leaf = as.pt.ownPath(vpn)
-				}
-				for ; leaf != nil && vpn < next; vpn++ {
-					e := &leaf.pte[ptIndex(vpn, 0)]
-					pfn := *e - 1
-					*e = 0
-					c, err := k.unmapPage(as, vpn, pfn)
-					cycles += c
-					if err != nil {
-						return cycles, err
-					}
-				}
-				vpn = next
-			}
-		}
-		for ; vpn < next; vpn++ {
-			c, err := k.clearOne(as, vpn)
-			cycles += c
-			if err != nil {
-				return cycles, err
-			}
-		}
+	// Clear the range in runs (DESIGN.md §15), fast-forwarding each run's
+	// repeated accesses as L1 hits when the hierarchy can.
+	c, err := as.pt.ClearRange(startVPN, startVPN+pages, k.mem, k.rep,
+		func(vpn, pfn uint64) (uint64, error) { return k.unmapPage(as, vpn, pfn) })
+	cycles += c
+	if err != nil {
+		return cycles, err
 	}
-	_, reapCycles := k.reapEmpty(as.pt)
-	cycles += reapCycles
+	cycles += k.reapEmpty(&as.pt)
 
 	as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 	k.stats.Munmaps++
@@ -467,17 +421,6 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 		k.probe.Count(telemetry.CtrMunmap, 1, cycles)
 	}
 	return cycles, nil
-}
-
-// clearOne is the per-VPN reference for Munmap: the PTE clear through mem,
-// then the page's side effects. It returns the cycles.
-func (k *Kernel) clearOne(as *AddressSpace, vpn uint64) (uint64, error) {
-	pfn, c, present := as.pt.clear(vpn, k.mem)
-	if !present {
-		return c, nil
-	}
-	u, err := k.unmapPage(as, vpn, pfn)
-	return c + u, err
 }
 
 // unmapPage returns a cleared PTE's frame to the buddy allocator and shoots
@@ -519,7 +462,7 @@ func (k *Kernel) ReleaseAll(as *AddressSpace) (cycles uint64, err error) {
 // handler (wraps simerr.ErrOutOfMemory).
 func (as *AddressSpace) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) {
 	k := as.k
-	pfn, walkCycles, present := as.pt.walk(vpn, k.mem)
+	pfn, walkCycles, present := as.pt.Walk(vpn, k.mem)
 	cycles = walkCycles
 	if present {
 		return pfn, cycles, nil
@@ -546,7 +489,7 @@ func (as *AddressSpace) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) 
 		return 0, cycles, simerr.WrapVA(perr, "page-fault", vpn<<config.PageShift)
 	}
 	// Re-walk is folded into the install cost (the handler returns the PFN).
-	pfn, _, _ = as.pt.walk(vpn, nopMem{})
+	pfn, _, _ = as.pt.Walk(vpn, nopMem{})
 	return pfn, cycles, nil
 }
 
@@ -559,7 +502,7 @@ func (as *AddressSpace) PeakResidentPages() uint64 { return as.peakResident }
 // MappedVPN reports whether vpn currently has a present translation,
 // without charging any cycles. Used by tests and the allocators' assertions.
 func (as *AddressSpace) MappedVPN(vpn uint64) bool {
-	_, _, ok := as.pt.walk(vpn, nopMem{})
+	_, _, ok := as.pt.Walk(vpn, nopMem{})
 	return ok
 }
 
@@ -599,6 +542,10 @@ func (k *Kernel) FreePoolPages(frames []uint64) error {
 	return nil
 }
 
+// PageTableNodes returns the machine's page-table node free list, which the
+// Memento page allocator's table shares with the kernel's.
+func (k *Kernel) PageTableNodes() *pagetable.FreeList { return &k.nodes }
+
 // CountUserPage lets the Memento page allocator record data pages it backs,
 // keeping Fig 11's user-page accounting comparable across stacks.
 func (k *Kernel) CountUserPage(n uint64) { k.stats.UserPagesAllocated += n }
@@ -608,7 +555,8 @@ func (k *Kernel) CountUserPage(n uint64) { k.stats.UserPagesAllocated += n }
 // kernel-memory accounting stays comparable across stacks.
 func (k *Kernel) CountKernelPage(n uint64) { k.stats.KernelPagesAllocated += n }
 
-// nopMem satisfies Mem without charging cycles, for cycle-free re-walks.
+// nopMem satisfies pagetable.Mem without charging cycles, for cycle-free
+// re-walks.
 type nopMem struct{}
 
 func (nopMem) Access(pa uint64, write bool) uint64 { return 0 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"memento/internal/pagetable"
+)
 
 // Snapshotting the kernel splits along ownership lines: machine-wide state
 // (the buddy allocator and the cumulative counters) lives in Snapshot, while
@@ -13,7 +17,7 @@ import "math/bits"
 // 256-frame windows of its intrusive-list arrays, so restoring the base
 // snapshot copies only windows touched since capture and re-capturing an
 // untouched allocator reuses the previous handle. Address-space snapshots
-// alias the page-table tree behind copy-on-write (see ptNode.shared) instead
+// alias the page-table tree behind copy-on-write (see pagetable.Node) instead
 // of deep-cloning it on every capture and restore.
 
 // buddyScalarBytes covers watermark, freeFrames, and the per-order heads.
@@ -169,24 +173,24 @@ func (k *Kernel) Restore(s *Snapshot) uint64 {
 // vmaBytes is the wire size of one vma (two VPNs + flag, padded).
 const vmaBytes = 24
 
-// asScalarBytes covers tablePages, cursor, metaFrame, residentPages,
-// peakResident, and vmasCreated.
+// asScalarBytes is the metered size of an address space's scalars: cursor,
+// metaFrame, residentPages, peakResident and vmasCreated, plus one word
+// for the page-table root.
 const asScalarBytes = 6 * 8
 
 // AddressSpaceSnapshot is an immutable capture of one process's
 // address-space state: the 4-level page table, the sorted VMA list, the
 // mmap cursor, and the residency gauges. The page-table tree is aliased,
-// not copied: capture freezes it (ptNode.shared) and both the snapshot and
-// any live address space restored from it share the nodes until a mutation
-// clones the affected path (copy-on-write). The Shootdown callback is NOT
-// captured (it points at the restoring machine's TLBs); the caller re-wires
-// it after restore.
+// not copied: capture freezes it and both the snapshot and any live address
+// space restored from it share the nodes until a mutation clones the
+// affected path (copy-on-write). The Shootdown callback is NOT captured (it
+// points at the restoring machine's TLBs); the caller re-wires it after
+// restore.
 type AddressSpaceSnapshot struct {
-	root       *ptNode
-	tablePages uint64
-	vmas       []vma
-	cursor     uint64
-	metaFrame  uint64
+	root      *pagetable.Node
+	vmas      []vma
+	cursor    uint64
+	metaFrame uint64
 
 	residentPages uint64
 	peakResident  uint64
@@ -224,17 +228,16 @@ func (as *AddressSpace) Snapshot() *AddressSpaceSnapshot {
 	if !as.mutated && as.base != nil {
 		return as.base
 	}
-	markSharedPT(as.pt.root)
+	root, treeBytes := as.pt.Freeze()
 	s := &AddressSpaceSnapshot{
-		root:          as.pt.root,
-		tablePages:    as.pt.tablePages,
+		root:          root,
 		vmas:          append([]vma(nil), as.vmas...),
 		cursor:        as.cursor,
 		metaFrame:     as.metaFrame,
 		residentPages: as.residentPages,
 		peakResident:  as.peakResident,
 		vmasCreated:   as.vmasCreated,
-		treeBytes:     countPTBytes(as.pt.root),
+		treeBytes:     treeBytes,
 	}
 	as.base = s
 	as.mutated = false
@@ -252,7 +255,7 @@ func (as *AddressSpace) Snapshot() *AddressSpaceSnapshot {
 func (k *Kernel) RestoreAddressSpace(s *AddressSpaceSnapshot) *AddressSpace {
 	return &AddressSpace{
 		k:             k,
-		pt:            &PageTable{root: s.root, tablePages: s.tablePages, nodes: &k.nodes},
+		pt:            pagetable.New(&k.nodes, s.root),
 		vmas:          append([]vma(nil), s.vmas...),
 		cursor:        s.cursor,
 		metaFrame:     s.metaFrame,

@@ -8,6 +8,7 @@ import (
 	"memento/internal/cache"
 	"memento/internal/config"
 	"memento/internal/dram"
+	"memento/internal/pagetable"
 	"memento/internal/tlb"
 )
 
@@ -34,7 +35,7 @@ func newTeardownTwin(t *testing.T, fast bool, l1Ways int) *teardownTwin {
 	m := config.Default()
 	m.L1D.SizeBytes, m.L1D.Ways = 64*l1Ways*config.LineSize, l1Ways
 	h := cache.NewHierarchy(m, dram.New(m.DRAM))
-	var mem Mem = h
+	var mem pagetable.Mem = h
 	if !fast {
 		mem = perAccessMem{h}
 	}
@@ -165,8 +166,8 @@ func FuzzMunmapFastForward(f *testing.F) {
 		}
 		for _, v := range fast.as.vmas {
 			for vpn := v.startVPN; vpn < v.endVPN; vpn++ {
-				pf, _, okf := fast.as.pt.walk(vpn, nopMem{})
-				ps, _, oks := slow.as.pt.walk(vpn, nopMem{})
+				pf, _, okf := fast.as.pt.Walk(vpn, nopMem{})
+				ps, _, oks := slow.as.pt.Walk(vpn, nopMem{})
 				if pf != ps || okf != oks {
 					t.Fatalf("vpn %#x maps to %d,%v fast and %d,%v per-VPN", vpn, pf, okf, ps, oks)
 				}

@@ -246,7 +246,7 @@ func TestSnapshotConcurrentFanOut(t *testing.T) {
 }
 
 // TestWarmRecycledNodesStayPrivate: teardown recycles private page-table
-// nodes (the kernel's free list and the Memento table's node pools), which
+// nodes of both tables through the machine's single free list, which
 // is only sound if no recycled node was ever frozen into a checkpoint.
 // After several warm runs on held machines, concurrently, every run must
 // match a fresh machine's, and a fresh machine restored from the same
