@@ -99,7 +99,8 @@ func BenchmarkTraceReplay(b *testing.B) {
 
 // TestAccessPathsZeroAlloc pins the allocation-free property of the
 // per-access hot paths: a cache hierarchy access (hit and miss), a TLB
-// translation (hit and walk), and a DRAM read/write.
+// translation (hit and walk), a DRAM read/write, and a page's
+// non-temporal zeroing.
 func TestAccessPathsZeroAlloc(t *testing.T) {
 	cfg := config.Default()
 
@@ -134,6 +135,14 @@ func TestAccessPathsZeroAlloc(t *testing.T) {
 		k++
 	}); n != 0 {
 		t.Errorf("DRAM access makes %v allocations per op, want 0", n)
+	}
+
+	p := uint64(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		h.StreamZeroPage(p % 96 << config.PageShift)
+		p++
+	}); n != 0 {
+		t.Errorf("Hierarchy.StreamZeroPage makes %v allocations per op, want 0", n)
 	}
 }
 

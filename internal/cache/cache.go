@@ -39,6 +39,11 @@ type Cache struct {
 	// mutation (Insert, Invalidate, another Lookup) clears it.
 	memoLine uint64
 	memoOK   bool
+	// hi is the line watermark: no valid line lies above it. Insert raises
+	// it to the line it places and Restore takes the snapshot's. Lookup,
+	// Contains, Invalidate and Insert's search for a copy answer for a line
+	// above hi without scanning its set (DESIGN.md §17).
+	hi uint64
 	// Stats
 	hits, misses uint64
 	// Delta-snapshot state: base is the snapshot this cache's content was
@@ -122,7 +127,7 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 	// streaming access patterns the simulator replays; it stays in place.
 	if ways[0]&^dirtyBit == tag|validBit {
 		ways[0] |= or
-	} else if i := position(ways, tag|validBit); i >= 0 {
+	} else if i := c.find(lineAddr, ways, tag); i >= 0 {
 		toFront(ways, i, or)
 	} else {
 		c.misses++
@@ -166,10 +171,19 @@ func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 	return true
 }
 
+// find returns the way of ways (lineAddr's set) holding tag, or -1. A
+// line above the watermark is absent without a scan.
+func (c *Cache) find(lineAddr uint64, ways []uint64, tag uint64) int {
+	if lineAddr > c.hi {
+		return -1
+	}
+	return position(ways, tag|validBit)
+}
+
 // Contains probes without touching recency or statistics.
 func (c *Cache) Contains(lineAddr uint64) bool {
 	set, tag := c.indexTag(lineAddr)
-	return position(c.setOf(set), tag|validBit) >= 0
+	return c.find(lineAddr, c.setOf(set), tag) >= 0
 }
 
 // Insert places the line as the set's most recent, evicting the least
@@ -188,11 +202,12 @@ func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty,
 	memo := c.memoOK && c.memoLine == lineAddr
 	c.memoOK = false
 	if !memo {
-		if i := position(ways, tag|validBit); i >= 0 {
+		if i := c.find(lineAddr, ways, tag); i >= 0 {
 			toFront(ways, i, tagw)
 			return 0, false, false
 		}
 	}
+	c.hi = max(c.hi, lineAddr)
 	if last := ways[len(ways)-1]; last != 0 {
 		victim = ((last & tagMask) << c.shift) | set
 		victimDirty = last&dirtyBit != 0
@@ -209,7 +224,7 @@ func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 	c.memoOK = false
 	set, tag := c.indexTag(lineAddr)
 	ways := c.setOf(set)
-	i := position(ways, tag|validBit)
+	i := c.find(lineAddr, ways, tag)
 	if i < 0 {
 		return false, false
 	}
@@ -433,8 +448,9 @@ func (h *Hierarchy) FlushLine(pa uint64) uint64 {
 	return cycles
 }
 
-// DropLine removes the line from all levels without writing back, used when
-// the backing page is being discarded (e.g. arena free): the data is dead.
+// DropLine removes the line from all levels without writing back: the data
+// is dead. It is one line of StreamZeroPage's drop, the step the per-line
+// zeroing oracles repeat.
 func (h *Hierarchy) DropLine(pa uint64) {
 	la := pa >> config.LineShift
 	h.L1D.Invalidate(la)
@@ -447,16 +463,37 @@ func (h *Hierarchy) DropLine(pa uint64) {
 // critical path.
 const streamMLP = 4
 
-// StreamZero models the kernel's non-temporal page-zeroing store to one
-// line: any cached copy is discarded (the data is being overwritten), the
-// zero goes straight to DRAM (full write traffic), and the critical-path
-// cost is the posted-write latency divided by the write-combining depth.
-// Unlike Access, the line does NOT warm the cache — the first application
-// touch of a kernel-zeroed line misses, which is exactly the DRAM cost
-// Memento's bypass removes (Section 3.3).
-func (h *Hierarchy) StreamZero(pa uint64) uint64 {
-	h.DropLine(pa)
-	return h.Mem.Write(pa>>config.LineShift<<config.LineShift) / streamMLP
+// linesPerPage is the number of cache lines in one page.
+const linesPerPage = config.PageSize / config.LineSize
+
+// StreamZeroPage models the kernel's non-temporal zeroing of the page that
+// holds pa (clear_page): every cached copy of its lines is discarded (the
+// data is being overwritten), each line's zero goes straight to DRAM (full
+// write traffic), and each line's critical-path cost is its posted-write
+// latency divided by the write-combining depth. Unlike Access, the lines do
+// NOT warm the cache — the first application touch of a kernel-zeroed line
+// misses, which is exactly the DRAM cost Memento's bypass removes (Section
+// 3.3). State and cycles are those of dropping and writing the page's lines
+// one by one (DESIGN.md §17).
+func (h *Hierarchy) StreamZeroPage(pa uint64) uint64 {
+	first := pa >> config.PageShift << (config.PageShift - config.LineShift)
+	h.L1D.dropPage(first)
+	h.L2.dropPage(first)
+	h.LLC.dropPage(first)
+	return h.Mem.WriteRun(first<<config.LineShift, linesPerPage, streamMLP)
+}
+
+// dropPage invalidates the page of lines starting at line first. A page
+// whose first line lies above the watermark holds none of its lines, so of
+// the invalidations only their clearing of the fill memo remains.
+func (c *Cache) dropPage(first uint64) {
+	if first > c.hi {
+		c.memoOK = false
+		return
+	}
+	for la := first; la < first+linesPerPage; la++ {
+		c.Invalidate(la)
+	}
 }
 
 func (h *Hierarchy) fillL1(la uint64, write bool) {

@@ -33,6 +33,9 @@ type Snapshot struct {
 	lines        []uint64
 	sets         uint64
 	hits, misses uint64
+	// hi is the line watermark at capture. It is host bookkeeping derived
+	// from lines, so it is not metered.
+	hi uint64
 }
 
 // Bytes returns the full metered size of the captured state — the cost of
@@ -61,19 +64,23 @@ func (c *Cache) Snapshot() *Snapshot {
 		sets:   c.setMask + 1,
 		hits:   c.hits,
 		misses: c.misses,
+		hi:     c.hi,
 	}
 	c.rebase(s)
 	return s
 }
 
-// Restore replaces the level's state with a copy of s and invalidates the
-// fill memo. When s is the cache's base snapshot only the sets dirtied since
-// the base was established are copied back (zero work, zero allocation for a
-// clean cache); any other snapshot is a full copy-in that rebases the cache
-// onto it. Returns the metered number of bytes copied.
+// Restore replaces the level's state with a copy of s, invalidates the fill
+// memo and takes s's line watermark. When s is the cache's base snapshot
+// only the sets dirtied since the base was established are copied back
+// (zero work, zero allocation for a clean cache); any other snapshot is a
+// full copy-in that rebases the cache onto it. Returns the metered number
+// of bytes copied.
 func (c *Cache) Restore(s *Snapshot) uint64 {
 	c.memoOK = false
 	if s == c.base {
+		// A clean cache inserted nothing since the base, so its watermark
+		// already is the snapshot's.
 		if c.clean {
 			return 0
 		}
@@ -93,12 +100,14 @@ func (c *Cache) Restore(s *Snapshot) uint64 {
 		}
 		c.hits = s.hits
 		c.misses = s.misses
+		c.hi = s.hi
 		c.clean = true
 		return copied + scalarBytes
 	}
 	c.lines = append(c.lines[:0], s.lines...)
 	c.hits = s.hits
 	c.misses = s.misses
+	c.hi = s.hi
 	c.rebase(s)
 	return s.Bytes()
 }

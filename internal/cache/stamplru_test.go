@@ -352,13 +352,28 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 		if d := matchRef(c, r); d != "" {
 			t.Fatalf("step %d (%s of line %d): %s differs from the stamp-LRU oracle", step, what, la, d)
 		}
+		if above := c.linesAbove(c.hi); above != 0 {
+			t.Fatalf("step %d (%s of line %d): %d valid lines above the watermark %d", step, what, la, above, c.hi)
+		}
 	}
+}
+
+// linesAbove counts c's valid lines whose line address exceeds hi.
+func (c *Cache) linesAbove(hi uint64) int {
+	n := 0
+	for i, w := range c.lines {
+		if w&validBit != 0 && (w&tagMask)<<c.shift|uint64(i/c.ways) > hi {
+			n++
+		}
+	}
+	return n
 }
 
 // FuzzCacheMatchesStampLRU checks the recency-ordered cache against the
 // stamp-LRU model it replaced on random operation streams: every return
 // value, the counters, the metered restore bytes, the dirty-set bitmap and
-// each set's valid lines in recency order.
+// each set's valid lines in recency order. No valid line may lie above the
+// line watermark, whose early-outs the oracle does not have.
 func FuzzCacheMatchesStampLRU(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for geo := 0; geo < 3*len(fuzzWays); geo++ {

@@ -18,18 +18,6 @@ var ErrRegionExhausted = fmt.Errorf("core: memento region stripe exhausted: %w",
 // had no frames left to hand over.
 var ErrPoolEmpty = fmt.Errorf("core: physical page pool exhausted: %w", simerr.ErrOutOfMemory)
 
-// AllocHook intercepts page-pool pops for fault injection, mirroring
-// kernel.AllocHook on the hardware side (see internal/faultinject). Pool
-// refills already pass through the kernel's frame-allocation hook; this one
-// additionally covers the pops that service arena requests and flagged
-// walks from an already-filled pool.
-type AllocHook interface {
-	// FailFrameAlloc is consulted before the nth (1-based) pool pop with the
-	// current pool depth; returning true fails the pop as if the pool and
-	// the OS were both exhausted.
-	FailFrameAlloc(n uint64, free uint64) bool
-}
-
 // PageAllocStats counts hardware page allocator activity.
 type PageAllocStats struct {
 	// ArenaRequests counts arenas handed to the object allocator.
@@ -104,8 +92,10 @@ type PageAllocator struct {
 	// residentPages tracks currently backed arena pages for the peak stat.
 	residentPages uint64
 	// allocHook, when non-nil, may veto pool pops (fault injection);
-	// poolPops counts pop attempts for its trigger.
-	allocHook AllocHook
+	// poolPops counts pop attempts for its trigger. Pool refills already
+	// pass through the kernel's hook; this one covers the pops that service
+	// arena requests and flagged walks from an already-filled pool.
+	allocHook kernel.AllocHook
 	poolPops  uint64
 	// Delta-snapshot state: base is the snapshot this allocator was last
 	// captured to or restored from; mutated is set by every state-changing
@@ -118,7 +108,8 @@ type PageAllocator struct {
 }
 
 // SetAllocHook attaches a fault-injection hook to the pool (nil detaches).
-func (p *PageAllocator) SetAllocHook(h AllocHook) { p.allocHook = h }
+// It is consulted with the pool depth as the free count.
+func (p *PageAllocator) SetAllocHook(h kernel.AllocHook) { p.allocHook = h }
 
 // noteBacked updates the resident-page high-water mark.
 func (p *PageAllocator) noteBacked(n uint64) {

@@ -205,6 +205,46 @@ func (d *DRAM) Write(pa uint64) uint64 {
 	return lat
 }
 
+// WriteRun writes back the n consecutive lines from pa on, exactly as n
+// Write calls in address order would, and returns the sum of each write's
+// latency divided by div (each divided on its own, as a caller dividing
+// every Write would). A run within one row of one bank — a page always is
+// with Table 3's 8 KiB rows — decodes its address once: the first write
+// takes the shared timing path, the rest are row hits on the bank the first
+// opened, each one deeper in its queue streak. Past a depth of 4 the queue
+// penalty, and so the latency, is constant, so the rest are summed in one
+// step. Runs across rows, and every run while a probe (which sees each
+// write) is attached, are written line by line.
+func (d *DRAM) WriteRun(pa, n, div uint64) uint64 {
+	if n == 0 {
+		return 0
+	}
+	bank, row := d.bankAndRow(pa)
+	if lb, lr := d.bankAndRow(pa + (n-1)*config.LineSize); d.probed || lb != bank || lr != row {
+		var cycles uint64
+		for i := uint64(0); i < n; i++ {
+			cycles += d.Write(pa+i*config.LineSize) / div
+		}
+		return cycles
+	}
+	cycles := d.access(pa) / 4 / div
+	rest := n - 1
+	for ; rest > 0 && d.bankStreak < 4; rest-- {
+		d.bankStreak++
+		lat := d.cfg.RowHitCycles + d.cfg.QueueCyclesPerPending*d.bankStreak
+		d.stats.BusyCycles += lat
+		cycles += lat / 4 / div
+	}
+	lat := d.cfg.RowHitCycles + d.cfg.QueueCyclesPerPending*4
+	d.bankStreak += rest
+	d.stats.BusyCycles += rest * lat
+	cycles += rest * (lat / 4 / div)
+	d.stats.RowHits += n - 1
+	d.stats.Writes += n
+	d.stats.WriteBytes += n * config.LineSize
+	return cycles
+}
+
 // Stats returns a copy of the accumulated statistics.
 func (d *DRAM) Stats() Stats { return d.stats }
 

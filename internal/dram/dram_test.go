@@ -1,10 +1,14 @@
 package dram
 
 import (
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"memento/internal/config"
+	"memento/internal/telemetry"
 )
 
 func testDRAM() *DRAM {
@@ -131,5 +135,62 @@ func TestSequentialStreamMostlyRowHits(t *testing.T) {
 	s := d.Stats()
 	if s.RowHitRate() < 0.9 {
 		t.Fatalf("sequential stream row hit rate = %v, want > 0.9", s.RowHitRate())
+	}
+}
+
+// countLog records every Count a probe receives.
+type countLog struct {
+	telemetry.Nop
+	got [][3]uint64
+}
+
+func (l *countLog) Count(c telemetry.Counter, n, cycles uint64) {
+	l.got = append(l.got, [3]uint64{uint64(c), n, cycles})
+}
+
+// TestWriteRunMatchesWrites checks WriteRun against the Write calls it
+// stands for, on Table 3's geometry (a page lies in one row), on rows
+// smaller than a page and on a geometry that is not a power of two (runs
+// span rows), with and without a probe: every returned sum, counter, open
+// row, bank streak and probe event must agree.
+func TestWriteRunMatchesWrites(t *testing.T) {
+	def := config.Default().DRAM
+	small, odd := def, def
+	small.RowBytes = 1 << 10
+	odd.Banks, odd.RowBytes = 6, 3000
+	rng := rand.New(rand.NewSource(1))
+	for gi, cfg := range []config.DRAMConfig{def, small, odd} {
+		for _, probed := range []bool{false, true} {
+			run, lines := New(cfg), New(cfg)
+			var runLog, lineLog countLog
+			if probed {
+				run.SetProbe(&runLog)
+				lines.SetProbe(&lineLog)
+			}
+			for i := 0; i < 400; i++ {
+				pa := uint64(rng.Intn(64)) << config.PageShift
+				n, div := uint64(rng.Intn(65)), uint64(1+rng.Intn(4))
+				if i%3 == 0 {
+					// Interleave single accesses so runs start on open and
+					// closed rows and on a bank streak.
+					lines.Read(pa)
+					run.Read(pa)
+				}
+				var want uint64
+				for j := uint64(0); j < n; j++ {
+					want += lines.Write(pa+j*config.LineSize) / div
+				}
+				if got := run.WriteRun(pa, n, div); got != want {
+					t.Fatalf("geometry %d probed=%v: WriteRun(%#x, %d, %d) = %d, writes give %d", gi, probed, pa, n, div, got, want)
+				}
+				if run.stats != lines.stats || run.clean != lines.clean || run.lastBank != lines.lastBank ||
+					run.bankStreak != lines.bankStreak || !slices.Equal(run.openRow, lines.openRow) {
+					t.Fatalf("geometry %d probed=%v: state diverges after WriteRun(%#x, %d)", gi, probed, pa, n)
+				}
+			}
+			if !reflect.DeepEqual(runLog.got, lineLog.got) {
+				t.Fatalf("geometry %d: probe events differ", gi)
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package faultinject provides deterministic fault-injection triggers for
-// the simulator's physical-frame allocators. A Hook satisfies both
-// kernel.AllocHook and core.AllocHook (the interfaces are structurally
-// identical), so one value can be threaded through the whole stack:
+// the simulator's physical-frame allocators. A Hook satisfies
+// kernel.AllocHook, the one hook interface that both the kernel's frame
+// allocator and the Memento page pool consult, so one value can be threaded
+// through the whole stack:
 //
 //	h := faultinject.FailNth(3)
 //	m.SetAllocHook(h) // kernel frame allocs + Memento pool pops
@@ -46,7 +47,7 @@ func FailBelow(k uint64) *Hook { return &Hook{below: k} }
 // attempt count regardless of machine size.
 func FailAfter(n uint64) *Hook { return &Hook{after: n} }
 
-// FailFrameAlloc implements kernel.AllocHook and core.AllocHook. n is the
+// FailFrameAlloc implements kernel.AllocHook. n is the
 // calling allocator's own 1-based attempt counter; free is its current
 // free-frame (or pool-depth) count. The built-in triggers count the
 // attempts the hook itself observes rather than trusting n: one hook

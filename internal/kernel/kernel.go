@@ -131,12 +131,14 @@ const vmasPerSlabPage = 12
 const mmapBaseVPN = 0x7f0000000
 
 // AllocHook intercepts physical frame allocations for fault injection (see
-// internal/faultinject for ready-made triggers).
+// internal/faultinject for ready-made triggers): the kernel's buddy
+// allocations and the Memento page allocator's pool pops
+// (core.PageAllocator.SetAllocHook).
 type AllocHook interface {
 	// FailFrameAlloc is consulted before the nth (1-based, cumulative over
-	// the kernel's lifetime) frame allocation while free frames remain
-	// available; returning true makes the allocation fail exactly as if
-	// physical memory were exhausted.
+	// the allocator's lifetime) allocation with the current free-frame (or
+	// pool-depth) count; returning true makes the allocation fail exactly
+	// as if memory were exhausted.
 	FailFrameAlloc(n uint64, free uint64) bool
 }
 

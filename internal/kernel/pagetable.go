@@ -20,9 +20,10 @@ func (k *Kernel) newPTNode() (frame, cycles uint64, err error) {
 	return frame, cycles, nil
 }
 
-// streamZeroer is the non-temporal zeroing path the cache hierarchy offers.
-type streamZeroer interface {
-	StreamZero(pa uint64) uint64
+// pageZeroer is the non-temporal page-zeroing path the cache hierarchy
+// offers (cache.Hierarchy.StreamZeroPage).
+type pageZeroer interface {
+	StreamZeroPage(pa uint64) uint64
 }
 
 // zeroPage clears a frame the way clear_page does: non-temporal stores that
@@ -30,13 +31,10 @@ type streamZeroer interface {
 // it; otherwise ordinary writes (simple Mem fakes in tests).
 func (k *Kernel) zeroPage(frame uint64) uint64 {
 	base := frame << config.PageShift
-	var cycles uint64
-	if sz, ok := k.mem.(streamZeroer); ok {
-		for off := uint64(0); off < config.PageSize; off += config.LineSize {
-			cycles += sz.StreamZero(base + off)
-		}
-		return cycles + k.cfg.InstrCycles(64)
+	if pz, ok := k.mem.(pageZeroer); ok {
+		return pz.StreamZeroPage(base) + k.cfg.InstrCycles(64)
 	}
+	var cycles uint64
 	for off := uint64(0); off < config.PageSize; off += config.LineSize {
 		cycles += k.mem.Access(base+off, true)
 	}

@@ -12,12 +12,12 @@ import (
 	"memento/internal/tlb"
 )
 
-// perAccessMem forwards the hierarchy's Access and StreamZero but hides
+// perAccessMem forwards the hierarchy's Access and StreamZeroPage but hides
 // RepeatHits, so a kernel built on it clears every VPN one by one.
 type perAccessMem struct{ h *cache.Hierarchy }
 
 func (m perAccessMem) Access(pa uint64, write bool) uint64 { return m.h.Access(pa, write) }
-func (m perAccessMem) StreamZero(pa uint64) uint64         { return m.h.StreamZero(pa) }
+func (m perAccessMem) StreamZeroPage(pa uint64) uint64     { return m.h.StreamZeroPage(pa) }
 
 // teardownTwin is one side of the fast-forward differential: a kernel, its
 // hierarchy and TLBs, one address space, and an optional checkpoint.
@@ -32,17 +32,24 @@ type teardownTwin struct {
 }
 
 func newTeardownTwin(t *testing.T, fast bool, l1Ways int) *teardownTwin {
-	m := config.Default()
-	m.L1D.SizeBytes, m.L1D.Ways = 64*l1Ways*config.LineSize, l1Ways
-	h := cache.NewHierarchy(m, dram.New(m.DRAM))
-	var mem pagetable.Mem = h
+	wrap := func(h *cache.Hierarchy) pagetable.Mem { return h }
 	if !fast {
-		mem = perAccessMem{h}
+		wrap = func(h *cache.Hierarchy) pagetable.Mem { return perAccessMem{h} }
 	}
-	tw := &teardownTwin{k: New(m, mem), h: h, tlbs: tlb.NewSystem(m)}
+	tw := newTwinOn(t, l1Ways, wrap)
 	if (tw.k.rep != nil) != fast {
 		t.Fatalf("fast=%v kernel has repeater=%v", fast, tw.k.rep != nil)
 	}
+	return tw
+}
+
+// newTwinOn builds a twin whose kernel reaches its hierarchy through the
+// Mem that wrap makes of it.
+func newTwinOn(t *testing.T, l1Ways int, wrap func(*cache.Hierarchy) pagetable.Mem) *teardownTwin {
+	m := config.Default()
+	m.L1D.SizeBytes, m.L1D.Ways = 64*l1Ways*config.LineSize, l1Ways
+	h := cache.NewHierarchy(m, dram.New(m.DRAM))
+	tw := &teardownTwin{k: New(m, wrap(h)), h: h, tlbs: tlb.NewSystem(m)}
 	as, err := tw.k.NewAddressSpace()
 	if err != nil {
 		t.Fatal(err)
@@ -183,4 +190,49 @@ func FuzzMunmapFastForward(f *testing.F) {
 			t.Fatal("cache hierarchy state diverges")
 		}
 	})
+}
+
+// perLineZeroMem is the hierarchy with its StreamZeroPage hidden behind the
+// per-line drop-and-write loop the page-granular path replaced.
+type perLineZeroMem struct{ *cache.Hierarchy }
+
+func (m perLineZeroMem) StreamZeroPage(pa uint64) uint64 {
+	var cycles uint64
+	for off := uint64(0); off < config.PageSize; off += config.LineSize {
+		m.DropLine(pa + off)
+		// 4 is the write-combining depth of non-temporal stores.
+		cycles += m.Mem.Write(pa+off) / 4
+	}
+	return cycles
+}
+
+// TestZeroPageMatchesPerLine replays random mmap (populating or not),
+// fault, munmap, checkpoint and restore sequences on two kernels, one
+// zeroing pages with StreamZeroPage and one with the per-line loop. Every
+// operation must cost the same cycles, and the kernel, hierarchy and DRAM
+// state must agree throughout.
+func TestZeroPageMatchesPerLine(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for run := 0; run < 40; run++ {
+		l1Ways := []int{8, 2, 1}[run%3]
+		page := newTwinOn(t, l1Ways, func(h *cache.Hierarchy) pagetable.Mem { return h })
+		line := newTwinOn(t, l1Ways, func(h *cache.Hierarchy) pagetable.Mem { return perLineZeroMem{h} })
+		for i := 0; i < 32; i++ {
+			op, arg := byte(rng.Intn(6)), byte(rng.Intn(256))
+			cp, ep := page.apply(op, arg)
+			cl, el := line.apply(op, arg)
+			if cp != cl || ep != el {
+				t.Fatalf("run %d op %d (%d,%d): page-granular %d cycles %q, per-line %d cycles %q",
+					run, i, op, arg, cp, ep, cl, el)
+			}
+			if page.k.Stats() != line.k.Stats() || page.h.Stats() != line.h.Stats() ||
+				page.h.Mem.Stats() != line.h.Mem.Stats() {
+				t.Fatalf("run %d op %d: stats diverge", run, i)
+			}
+		}
+		if !reflect.DeepEqual(page.h.Snapshot(), line.h.Snapshot()) ||
+			!reflect.DeepEqual(page.h.Mem.Snapshot(), line.h.Mem.Snapshot()) {
+			t.Fatalf("run %d: cache or DRAM state diverges", run)
+		}
+	}
 }

@@ -72,15 +72,10 @@ type Options struct {
 	Warm *WarmStart
 }
 
-// AllocHook intercepts physical frame allocations for fault injection. It
-// is satisfied by faultinject.Hook and mirrors kernel.AllocHook and
-// core.AllocHook, which it is threaded through to.
-type AllocHook interface {
-	// FailFrameAlloc is consulted before the nth (1-based) allocation with
-	// the current free-frame (or pool-depth) count; returning true fails
-	// the allocation exactly as if memory were exhausted.
-	FailFrameAlloc(n uint64, free uint64) bool
-}
+// AllocHook intercepts physical frame allocations for fault injection: the
+// kernel's and the Memento page allocator's. It is satisfied by
+// faultinject.Hook.
+type AllocHook = kernel.AllocHook
 
 // Buckets is the cycle attribution the Fig 9 breakdown derives from.
 type Buckets struct {

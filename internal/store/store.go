@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -155,6 +157,8 @@ type Store struct {
 	queue      chan *Job
 	wg         sync.WaitGroup
 	metrics    metrics
+	// exec runs one job: execute, or a stand-in that tests install.
+	exec func(*Job) (json.RawMessage, error)
 
 	mu     sync.Mutex
 	closed bool
@@ -165,6 +169,12 @@ type Store struct {
 
 // New creates a Store and starts its worker pool.
 func New(cfg config.Machine, opt Options) *Store {
+	return newStore(cfg, opt, nil)
+}
+
+// newStore is New with the job executor replaced by exec when it is
+// non-nil.
+func newStore(cfg config.Machine, opt Options, exec func(*Job) (json.RawMessage, error)) *Store {
 	opt.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Store{
@@ -175,6 +185,10 @@ func New(cfg config.Machine, opt Options) *Store {
 		queue:      make(chan *Job, opt.QueueDepth),
 		jobs:       make(map[string]*Job),
 		cache:      make(map[string]json.RawMessage),
+		exec:       exec,
+	}
+	if s.exec == nil {
+		s.exec = s.execute
 	}
 	s.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
@@ -333,6 +347,19 @@ func (s *Store) worker() {
 	}
 }
 
+// runExec runs j's executor. A panic in it fails the job, with the panic
+// value as the error and the stack in the log, instead of killing the
+// daemon and every job it accepted; the worker goes on to the next job.
+func (s *Store) runExec(j *Job) (result json.RawMessage, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			log.Printf("mementod: job %s: executor panicked: %v\n%s", j.ID, v, debug.Stack())
+			result, err = nil, fmt.Errorf("executor panicked: %v", v)
+		}
+	}()
+	return s.exec(j)
+}
+
 // runJob executes one job and drives it to a terminal state.
 func (s *Store) runJob(j *Job) {
 	if !j.begin() {
@@ -341,7 +368,7 @@ func (s *Store) runJob(j *Job) {
 	s.metrics.jobStarted()
 	j.log.append(EventStarted, map[string]string{"id": j.ID})
 
-	result, err := s.execute(j)
+	result, err := s.runExec(j)
 
 	j.mu.Lock()
 	j.finished = time.Now()

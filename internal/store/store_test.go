@@ -1,8 +1,13 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"log"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -424,5 +429,66 @@ func TestEventLogResume(t *testing.T) {
 		if e.Seq != i {
 			t.Errorf("event %d has seq %d", i, e.Seq)
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the log's writes from a worker.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestExecutorPanicFailsJobOnly: a panicking executor fails its job with
+// the panic value as the error and logs the stack, and the store's one
+// worker goes on to finish the next job.
+func TestExecutorPanicFailsJobOnly(t *testing.T) {
+	var logged lockedBuffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	exec := func(j *Job) (json.RawMessage, error) {
+		if j.Spec.Workload == "html" {
+			panic("executor bug")
+		}
+		return json.RawMessage(`{"ok":true}`), nil
+	}
+	s := newStore(config.Default(), Options{Workers: 1}, exec)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := s.Close(ctx); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+	})
+	bad, err := s.Submit(JobSpec{Kind: "run", Workload: "html"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, bad); st != StatusFailed {
+		t.Fatalf("panicking job ended %s, want failed", st)
+	}
+	if msg := bad.View().Error; !strings.Contains(msg, "executor bug") {
+		t.Fatalf("failed job's error %q does not carry the panic value", msg)
+	}
+	if out := logged.String(); !strings.Contains(out, bad.ID) || !strings.Contains(out, "goroutine") {
+		t.Fatalf("log lacks the job id or stack:\n%s", out)
+	}
+	good, err := s.Submit(JobSpec{Kind: "run", Workload: "aes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, good); st != StatusDone {
+		t.Fatalf("job after the panic ended %s, want done (err %q)", st, good.View().Error)
 	}
 }

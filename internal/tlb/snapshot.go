@@ -118,6 +118,9 @@ func (s *SystemSnapshot) Bytes() uint64 {
 // Snapshot captures both levels and the system statistics. When neither
 // level changed since the previous capture the previous handle is returned.
 func (s *System) Snapshot() *SystemSnapshot {
+	// Capturing rebases L1, clearing the dirty mark a reused translation
+	// relies on.
+	s.lastOK = false
 	l1, l2 := s.L1.Snapshot(), s.L2.Snapshot()
 	if b := s.base; b != nil && b.l1 == l1 && b.l2 == l2 && b.stats == s.stats {
 		return b
@@ -133,6 +136,7 @@ func (s *System) Snapshot() *SystemSnapshot {
 // zero when the system is already exactly in state snap.
 func (s *System) Restore(snap *SystemSnapshot) uint64 {
 	clean := snap == s.base && s.stats == snap.stats
+	s.lastOK = false
 	copied := s.L1.Restore(snap.l1)
 	copied += s.L2.Restore(snap.l2)
 	s.stats = snap.stats

@@ -258,6 +258,11 @@ type System struct {
 	// attachment state so the hot path tests one byte, not an interface.
 	probe  telemetry.Probe
 	probed bool
+	// lastVPN and lastPFN are the last successful translation, valid while
+	// lastOK holds. Any L1 miss, shootdown, flush, snapshot or restore
+	// clears lastOK (DESIGN.md §17).
+	lastVPN, lastPFN uint64
+	lastOK           bool
 }
 
 // SetProbe attaches a telemetry probe (nil detaches).
@@ -277,16 +282,28 @@ func NewSystem(m config.Machine) *System {
 // access, so an L1 hit costs its configured latency (0 by default).
 func (s *System) Translate(vpn uint64, w Walker) (pfn uint64, cycles uint64, err error) {
 	cycles = s.L1.Latency()
+	// The page of the last successful translation, with the TLB untouched
+	// since: its entry is at the front of its L1 set, the set is marked
+	// dirty and the fill memo is clear, so this is that front hit and
+	// changes the hit counters alone.
+	if s.lastOK && s.lastVPN == vpn {
+		s.L1.hits++
+		s.stats.L1Hits++
+		return s.lastPFN, cycles, nil
+	}
 	var ok bool
 	if pfn, ok = s.L1.Lookup(vpn); ok {
 		s.stats.L1Hits++
+		s.lastVPN, s.lastPFN, s.lastOK = vpn, pfn, true
 		return pfn, cycles, nil
 	}
+	s.lastOK = false
 	s.stats.L1Misses++
 	cycles += s.L2.Latency()
 	if pfn, ok = s.L2.Lookup(vpn); ok {
 		s.stats.L2Hits++
 		s.L1.Insert(vpn, pfn)
+		s.lastVPN, s.lastPFN, s.lastOK = vpn, pfn, true
 		return pfn, cycles, nil
 	}
 	s.stats.L2Misses++
@@ -302,11 +319,13 @@ func (s *System) Translate(vpn uint64, w Walker) (pfn uint64, cycles uint64, err
 	}
 	s.L2.Insert(vpn, pfn)
 	s.L1.Insert(vpn, pfn)
+	s.lastVPN, s.lastPFN, s.lastOK = vpn, pfn, true
 	return pfn, cycles, nil
 }
 
 // Shootdown invalidates one page in both levels and counts the event.
 func (s *System) Shootdown(vpn uint64) {
+	s.lastOK = false
 	s.L1.InvalidatePage(vpn)
 	s.L2.InvalidatePage(vpn)
 	s.stats.Shootdowns++
@@ -317,6 +336,7 @@ func (s *System) Shootdown(vpn uint64) {
 
 // FlushAll clears both levels (full context switch).
 func (s *System) FlushAll() {
+	s.lastOK = false
 	s.L1.Flush()
 	s.L2.Flush()
 }
