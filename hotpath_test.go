@@ -251,9 +251,9 @@ func TestTeardownFastForwardZeroAlloc(t *testing.T) {
 
 // TestMachineFootprint caps the host bytes one simulated machine allocates.
 // Its cache and TLB sets are most of them, and of every warm checkpoint,
-// so the cap pins the one-word-per-line recency-ordered layout (DESIGN.md
-// §16): 328,560 bytes with it, against 655,698 with a 64-bit LRU stamp
-// beside every line.
+// so the cap pins the recency-ordered layout of one 4-byte tag word per
+// line (DESIGN.md §16): 179,120 bytes with it, against 328,624 with
+// 8-byte tag words and 655,698 with a 64-bit LRU stamp beside every line.
 func TestMachineFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts allocation counts")
@@ -266,7 +266,7 @@ func TestMachineFootprint(t *testing.T) {
 			}
 		}
 	})
-	if got, limit := r.AllocedBytesPerOp(), int64(384<<10); got > limit {
+	if got, limit := r.AllocedBytesPerOp(), int64(192<<10); got > limit {
 		t.Errorf("machine.New(config.Default()) allocates %d bytes, want at most %d", got, limit)
 	}
 }

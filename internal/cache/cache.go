@@ -12,13 +12,15 @@ import (
 	"memento/internal/telemetry"
 )
 
-// Line bookkeeping is one 8-byte tag word per way: the tag with the valid
-// and dirty flags in its top bits (tags are line addresses shifted down by
-// the set bits, far below 62 bits). An invalid way is the zero word.
+// Line bookkeeping is one 4-byte tag word per way: the tag in the low
+// config.CacheTagBits (30) bits, with the dirty and valid flags above it. A
+// tag is a line address shifted down by the set bits; Machine.Validate
+// rejects a DRAM whose last line's tag would not fit. An invalid way is the
+// zero word.
 const (
-	validBit = 1 << 63
-	dirtyBit = 1 << 62
-	tagMask  = dirtyBit - 1
+	tagMask  = 1<<config.CacheTagBits - 1
+	dirtyBit = tagMask + 1
+	validBit = dirtyBit << 1
 )
 
 // Cache is one set-associative cache level. Set storage is one flat,
@@ -29,7 +31,7 @@ const (
 // victim of a full set is its last way (DESIGN.md §16).
 type Cache struct {
 	cfg     config.CacheConfig
-	lines   []uint64
+	lines   []uint32
 	ways    int
 	setMask uint64
 	shift   uint
@@ -70,7 +72,7 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	n := cfg.Sets()
 	return &Cache{
 		cfg:     cfg,
-		lines:   make([]uint64, n*cfg.Ways),
+		lines:   make([]uint32, n*cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(n - 1),
 		shift:   uint(config.Log2(n)),
@@ -79,19 +81,19 @@ func NewCache(cfg config.CacheConfig) *Cache {
 }
 
 // indexTag splits a line address (pa >> LineShift) into set index and tag.
-func (c *Cache) indexTag(lineAddr uint64) (set uint64, tag uint64) {
-	return lineAddr & c.setMask, lineAddr >> c.shift
+func (c *Cache) indexTag(lineAddr uint64) (set uint64, tag uint32) {
+	return lineAddr & c.setMask, uint32(lineAddr >> c.shift)
 }
 
 // setOf returns set s's ways as a window into the flat storage.
-func (c *Cache) setOf(set uint64) []uint64 {
+func (c *Cache) setOf(set uint64) []uint32 {
 	base := int(set) * c.ways
 	return c.lines[base : base+c.ways]
 }
 
 // position returns the way holding tag word want (tag|validBit) in ways, or
 // -1. The scan stops at the first invalid way: only invalid ways follow it.
-func position(ways []uint64, want uint64) int {
+func position(ways []uint32, want uint32) int {
 	for i, w := range ways {
 		if w&^dirtyBit == want {
 			return i
@@ -104,7 +106,7 @@ func position(ways []uint64, want uint64) int {
 }
 
 // toFront moves way i of ways to the front, or-ing in or.
-func toFront(ways []uint64, i int, or uint64) {
+func toFront(ways []uint32, i int, or uint32) {
 	w := ways[i] | or
 	copy(ways[1:i+1], ways[:i])
 	ways[0] = w
@@ -119,7 +121,7 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 	// Every Lookup mutates either the hit or the miss counter, so the cache
 	// diverges from its base snapshot even when no set content changes.
 	c.clean = false
-	var or uint64
+	var or uint32
 	if write {
 		or = dirtyBit
 	}
@@ -162,7 +164,7 @@ func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 	for j, pa := range pas {
 		set, tag := c.indexTag(pa >> config.LineShift)
 		ways := c.setOf(set)
-		toFront(ways, position(ways, tag|validBit), (writes>>uint(j)&1)*dirtyBit)
+		toFront(ways, position(ways, tag|validBit), uint32(writes>>uint(j)&1)*dirtyBit)
 		c.dirty[set>>6] |= 1 << (set & 63)
 	}
 	c.hits += rounds * n
@@ -173,7 +175,7 @@ func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 
 // find returns the way of ways (lineAddr's set) holding tag, or -1. A
 // line above the watermark is absent without a scan.
-func (c *Cache) find(lineAddr uint64, ways []uint64, tag uint64) int {
+func (c *Cache) find(lineAddr uint64, ways []uint32, tag uint32) int {
 	if lineAddr > c.hi {
 		return -1
 	}
@@ -209,7 +211,7 @@ func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty,
 	}
 	c.hi = max(c.hi, lineAddr)
 	if last := ways[len(ways)-1]; last != 0 {
-		victim = ((last & tagMask) << c.shift) | set
+		victim = uint64(last&tagMask)<<c.shift | set
 		victimDirty = last&dirtyBit != 0
 		evicted = true
 	}

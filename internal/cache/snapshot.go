@@ -30,7 +30,7 @@ const (
 // between a Lookup miss and the Insert that services it, and a snapshot is
 // never taken mid-access. Restore clears it.
 type Snapshot struct {
-	lines        []uint64
+	lines        []uint32
 	sets         uint64
 	hits, misses uint64
 	// hi is the line watermark at capture. It is host bookkeeping derived
@@ -60,7 +60,7 @@ func (c *Cache) Snapshot() *Snapshot {
 		return c.base
 	}
 	s := &Snapshot{
-		lines:  append([]uint64(nil), c.lines...),
+		lines:  append([]uint32(nil), c.lines...),
 		sets:   c.setMask + 1,
 		hits:   c.hits,
 		misses: c.misses,

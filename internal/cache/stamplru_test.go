@@ -14,7 +14,8 @@ import (
 // strictly less), and the delta-snapshot bookkeeping follows the same
 // rules as Cache — a hit or a fill marks its set, a present Invalidate
 // marks its set, a miss only clears clean. The replay fast path is modeled
-// as the sequential hits it stands for.
+// as the sequential hits it stands for. It keeps the 8-byte tag words the
+// stamp-LRU cache had, so a tag the 4-byte words would truncate shows.
 type refCache struct {
 	ways         int
 	sets         uint64
@@ -28,6 +29,25 @@ type refCache struct {
 }
 
 type refLine struct{ tagw, lru uint64 }
+
+// The oracle's tag word: the full tag below the dirty and valid flags.
+const (
+	refValid   = 1 << 63
+	refDirty   = 1 << 62
+	refTagMask = refDirty - 1
+)
+
+// widen returns the oracle's tag word for Cache tag word w.
+func widen(w uint32) uint64 {
+	t := uint64(w & tagMask)
+	if w&validBit != 0 {
+		t |= refValid
+	}
+	if w&dirtyBit != 0 {
+		t |= refDirty
+	}
+	return t
+}
 
 type refSnapshot struct {
 	lines              []refLine
@@ -47,18 +67,18 @@ func newRefCache(sets, ways int) *refCache {
 func (c *refCache) set(la uint64) (uint64, []refLine, uint64) {
 	set := la & (c.sets - 1)
 	base := int(set) * c.ways
-	return set, c.lines[base : base+c.ways], la>>c.shift | validBit
+	return set, c.lines[base : base+c.ways], la>>c.shift | refValid
 }
 
 func (c *refCache) Lookup(la uint64, write bool) bool {
 	set, ways, want := c.set(la)
 	c.clean = false
 	for i := range ways {
-		if ways[i].tagw&^dirtyBit == want {
+		if ways[i].tagw&^refDirty == want {
 			c.tick++
 			ways[i].lru = c.tick
 			if write {
-				ways[i].tagw |= dirtyBit
+				ways[i].tagw |= refDirty
 			}
 			c.hits++
 			c.dirty[set] = true
@@ -72,7 +92,7 @@ func (c *refCache) Lookup(la uint64, write bool) bool {
 func (c *refCache) Contains(la uint64) bool {
 	_, ways, want := c.set(la)
 	for _, w := range ways {
-		if w.tagw&^dirtyBit == want {
+		if w.tagw&^refDirty == want {
 			return true
 		}
 	}
@@ -102,14 +122,14 @@ func (c *refCache) Insert(la uint64, dirty bool) (victim uint64, victimDirty, ev
 	li, lru := 0, ^uint64(0)
 	for i := range ways {
 		w := &ways[i]
-		if w.tagw&^dirtyBit == want {
+		if w.tagw&^refDirty == want {
 			w.lru = c.tick
 			if dirty {
-				w.tagw |= dirtyBit
+				w.tagw |= refDirty
 			}
 			return 0, false, false
 		}
-		if w.tagw&validBit == 0 {
+		if w.tagw&refValid == 0 {
 			if inv < 0 {
 				inv = i
 			}
@@ -124,14 +144,14 @@ func (c *refCache) Insert(la uint64, dirty bool) (victim uint64, victimDirty, ev
 		vi = li
 	}
 	w := &ways[vi]
-	if w.tagw&validBit != 0 {
-		victim = (w.tagw&tagMask)<<c.shift | set
-		victimDirty = w.tagw&dirtyBit != 0
+	if w.tagw&refValid != 0 {
+		victim = (w.tagw&refTagMask)<<c.shift | set
+		victimDirty = w.tagw&refDirty != 0
 		evicted = true
 	}
 	tagw := want
 	if dirty {
-		tagw |= dirtyBit
+		tagw |= refDirty
 	}
 	*w = refLine{tagw: tagw, lru: c.tick}
 	return victim, victimDirty, evicted
@@ -140,8 +160,8 @@ func (c *refCache) Insert(la uint64, dirty bool) (victim uint64, victimDirty, ev
 func (c *refCache) Invalidate(la uint64) (wasDirty, wasPresent bool) {
 	set, ways, want := c.set(la)
 	for i := range ways {
-		if ways[i].tagw&^dirtyBit == want {
-			d := ways[i].tagw&dirtyBit != 0
+		if ways[i].tagw&^refDirty == want {
+			d := ways[i].tagw&refDirty != 0
 			ways[i] = refLine{}
 			c.dirty[set] = true
 			c.clean = false
@@ -195,7 +215,7 @@ func (c *refCache) Restore(s *refSnapshot) uint64 {
 // recency returns set's valid tag words, most recently used first.
 func (c *refCache) recency(set int) []uint64 {
 	ways := slices.Clone(c.lines[set*c.ways : (set+1)*c.ways])
-	ways = slices.DeleteFunc(ways, func(l refLine) bool { return l.tagw&validBit == 0 })
+	ways = slices.DeleteFunc(ways, func(l refLine) bool { return l.tagw&refValid == 0 })
 	slices.SortFunc(ways, func(a, b refLine) int {
 		if a.lru == b.lru {
 			panic("two valid lines share an LRU stamp")
@@ -226,8 +246,10 @@ func matchRef(c *Cache, r *refCache) string {
 		}
 		want := r.recency(set)
 		ways := c.setOf(uint64(set))
-		if !slices.Equal(ways[:len(want)], want) {
-			return "recency order"
+		for i, w := range want {
+			if widen(ways[i]) != w {
+				return "recency order"
+			}
 		}
 		for _, w := range ways[len(want):] {
 			if w != 0 {
@@ -245,7 +267,9 @@ var fuzzWays = []int{1, 2, 3, 8, 9, 12, 16}
 
 // cacheOracle drives a Cache and its stamp-LRU oracle through the operation
 // stream in ops and fails at the first observable difference. geo picks
-// the associativity and a set count of 1, 2 or 4.
+// the associativity and a set count of 1, 2 or 4; with its top bit set,
+// every other row of tags moves to the top of the tag space (tags with bit
+// 29 set, up to the largest), so sets mix the lowest and highest tags.
 func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 	ways := fuzzWays[int(geo)%len(fuzzWays)]
 	sets := 1 << (int(geo) / len(fuzzWays) % 3)
@@ -254,15 +278,27 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 	// Lines from a universe a few ways wider than the cache, so sets fill,
 	// evict and re-fetch.
 	universe := uint64(sets * (ways + 3))
+	high := uint64(0)
+	if geo&0x80 != 0 {
+		high = (1<<config.CacheTagBits - uint64(ways+3)) * uint64(sets)
+	}
+	line := func(b byte) uint64 {
+		la := uint64(b) % universe
+		if la/uint64(sets)%2 == 1 {
+			la += high
+		}
+		return la
+	}
 
 	// A donor pair of the same geometry supplies a foreign snapshot.
 	dc, dr := NewCache(cfg), newRefCache(sets, ways)
 	for i := uint64(0); i < universe; i += 2 {
-		dc.Insert(i, i%3 == 0)
-		dr.Insert(i, i%3 == 0)
+		la := line(byte(i))
+		dc.Insert(la, i%3 == 0)
+		dr.Insert(la, i%3 == 0)
 	}
-	dc.Lookup(universe-2, true)
-	dr.Lookup(universe-2, true)
+	dc.Lookup(line(byte(universe-2)), true)
+	dr.Lookup(line(byte(universe-2)), true)
 	type pair struct {
 		s *Snapshot
 		r *refSnapshot
@@ -279,7 +315,7 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 	}
 	for step := 0; len(ops) > 0; step++ {
 		op, arg := next(), next()
-		la, write := uint64(arg)%universe, arg&0x80 != 0
+		la, write := line(arg), arg&0x80 != 0
 		var what string
 		switch op % 8 {
 		case 0:
@@ -325,7 +361,7 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 			what = "repeatHits"
 			pas := make([]uint64, arg%6)
 			for j := range pas {
-				pas[j] = uint64(next())%universe<<config.LineShift | uint64(j)*8
+				pas[j] = line(next())<<config.LineShift | uint64(j)*8
 			}
 			writes, rounds := uint64(next()), uint64(next()%5)
 			if c.repeatHits(pas, writes, rounds) != r.repeatHits(pas, writes, rounds) {
@@ -362,11 +398,93 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 func (c *Cache) linesAbove(hi uint64) int {
 	n := 0
 	for i, w := range c.lines {
-		if w&validBit != 0 && (w&tagMask)<<c.shift|uint64(i/c.ways) > hi {
+		if w&validBit != 0 && uint64(w&tagMask)<<c.shift|uint64(i/c.ways) > hi {
 			n++
 		}
 	}
 	return n
+}
+
+// TestTopTagBitRoundTrips drives lines whose tags set bit 29, the top bit
+// of the 30-bit tag, up to the largest tag, through Table 3's L1D beside
+// the stamp-LRU oracle, which keeps 64-bit tag words: misses and the fills
+// that service them, evictions, write hits, invalidations and restores of
+// the base and of a foreign snapshot. Every victim must be the line address
+// the oracle evicts, and the two must agree after every step.
+func TestTopTagBitRoundTrips(t *testing.T) {
+	cfg := config.Default().L1D
+	sets, ways := cfg.Sets(), cfg.Ways
+	shift := config.Log2(sets)
+	c, r := NewCache(cfg), newRefCache(sets, ways)
+	var lines []uint64
+	for i := uint64(0); i < uint64(ways)+4; i++ {
+		for _, tag := range []uint64{1<<29 + i, 1<<config.CacheTagBits - 1 - i} {
+			for _, set := range []uint64{0, 37, uint64(sets - 1)} {
+				lines = append(lines, tag<<shift|set)
+			}
+		}
+	}
+	step := 0
+	check := func(what string, la uint64) {
+		t.Helper()
+		step++
+		if d := matchRef(c, r); d != "" {
+			t.Fatalf("step %d (%s of line %#x): %s differs from the stamp-LRU oracle", step, what, la, d)
+		}
+	}
+	evictions := 0
+	access := func(la uint64, write bool) {
+		t.Helper()
+		hit := c.Lookup(la, write)
+		if hit != r.Lookup(la, write) {
+			t.Fatalf("Lookup(%#x) hit differs from the oracle", la)
+		}
+		if !hit {
+			v, vd, ev := c.Insert(la, write)
+			rv, rvd, rev := r.Insert(la, write)
+			if v != rv || vd != rvd || ev != rev {
+				t.Fatalf("Insert(%#x) = (%#x,%v,%v), oracle (%#x,%v,%v)", la, v, vd, ev, rv, rvd, rev)
+			}
+			if ev {
+				evictions++
+			}
+		}
+		check("access", la)
+	}
+	empty, rEmpty := c.Snapshot(), r.Snapshot()
+	for i, la := range lines {
+		access(la, i%3 == 0)
+	}
+	base, rBase := c.Snapshot(), r.Snapshot()
+	for i, la := range lines {
+		if i%5 == 0 {
+			d, p := c.Invalidate(la)
+			if rd, rp := r.Invalidate(la); d != rd || p != rp {
+				t.Fatalf("Invalidate(%#x) = (%v,%v), oracle (%v,%v)", la, d, p, rd, rp)
+			}
+			check("Invalidate", la)
+		}
+		access(lines[len(lines)-1-i], i%2 == 0)
+	}
+	restore := func(s *Snapshot, rs *refSnapshot) {
+		t.Helper()
+		if got, want := c.Restore(s), r.Restore(rs); got != want {
+			t.Fatalf("Restore copied %d metered bytes, oracle %d", got, want)
+		}
+		check("Restore", 0)
+		// Evict every restored line: each victim must come back exact.
+		for i := uint64(0); i < uint64(ways); i++ {
+			for _, set := range []uint64{0, 37, uint64(sets - 1)} {
+				access(i<<shift|set, false)
+			}
+		}
+	}
+	restore(base, rBase)
+	restore(empty, rEmpty)
+	restore(base, rBase)
+	if evictions < len(lines) {
+		t.Fatalf("%d evictions, want at least %d", evictions, len(lines))
+	}
 }
 
 // FuzzCacheMatchesStampLRU checks the recency-ordered cache against the
@@ -378,9 +496,11 @@ func FuzzCacheMatchesStampLRU(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for geo := 0; geo < 3*len(fuzzWays); geo++ {
 		for _, n := range []int{64, 600} {
-			ops := make([]byte, n)
-			rng.Read(ops)
-			f.Add(uint8(geo), ops)
+			for _, high := range []int{0, 0x80} {
+				ops := make([]byte, n)
+				rng.Read(ops)
+				f.Add(uint8(geo|high), ops)
+			}
 		}
 	}
 	f.Fuzz(cacheOracle)

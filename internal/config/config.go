@@ -27,6 +27,17 @@ const (
 	WordSize = 8
 )
 
+// Widths of the 32-bit host words that hold simulated quantities.
+// Machine.Validate rejects a DRAM too large for either.
+const (
+	// CacheTagBits is the tag width of a cache line's tag word; its other
+	// two bits are the valid and dirty flags.
+	CacheTagBits = 30
+	// MaxPTEFrame is the largest frame a page-table leaf entry can map: an
+	// entry holds pfn+1, with 0 meaning not present.
+	MaxPTEFrame = 1<<32 - 2
+)
+
 // FloorPow2 returns the largest power of two <= n. It is the set-count
 // rounding rule shared by the cache and TLB models; n must be >= 1.
 func FloorPow2(n int) int {
@@ -304,10 +315,22 @@ func Default() Machine {
 
 // Validate checks the whole machine configuration.
 func (m Machine) Validate() error {
+	if m.DRAM.SizeBytes == 0 || m.DRAM.Banks <= 0 || m.DRAM.RowBytes <= 0 {
+		return fmt.Errorf("config: invalid DRAM geometry")
+	}
+	lastLine := (m.DRAM.SizeBytes - 1) >> LineShift
 	for _, c := range []CacheConfig{m.L1D, m.L1I, m.L2, m.LLC} {
 		if err := c.Validate(); err != nil {
 			return err
 		}
+		if lastLine>>Log2(c.Sets()) >= 1<<CacheTagBits {
+			return fmt.Errorf("config: cache %s: %d-byte DRAM needs tags wider than %d bits",
+				c.Name, m.DRAM.SizeBytes, CacheTagBits)
+		}
+	}
+	if (m.DRAM.SizeBytes-1)>>PageShift > MaxPTEFrame {
+		return fmt.Errorf("config: %d-byte DRAM has frames past the largest PTE frame %d",
+			m.DRAM.SizeBytes, uint64(MaxPTEFrame))
 	}
 	if m.Memento.NumSizeClasses() <= 0 {
 		return fmt.Errorf("config: memento has no size classes")
@@ -322,9 +345,6 @@ func (m Machine) Validate() error {
 	}
 	if m.Cost.IPC <= 0 {
 		return fmt.Errorf("config: non-positive IPC")
-	}
-	if m.DRAM.Banks <= 0 || m.DRAM.RowBytes <= 0 {
-		return fmt.Errorf("config: invalid DRAM geometry")
 	}
 	if m.Cores <= 0 {
 		return fmt.Errorf("config: cores must be positive")

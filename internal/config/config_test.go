@@ -89,6 +89,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		func(m *Machine) { m.Memento.ObjectsPerArena = 7 },
 		func(m *Machine) { m.Cost.IPC = 0 },
 		func(m *Machine) { m.DRAM.Banks = 0 },
+		func(m *Machine) { m.DRAM.SizeBytes = 0 },
 		func(m *Machine) { m.Cores = 0 },
 	}
 	for i, mutate := range cases {
@@ -96,6 +97,42 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		mutate(&m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error, got nil", i)
+		}
+	}
+}
+
+// TestValidateEncodingLimits pins the DRAM sizes the 32-bit host words
+// admit. A cache tag is a line address over the set count, so a level's
+// limit is 2^30 lines per set: 4 TiB for Table 3's 64-set L1D and 64 GiB for
+// a one-set cache. With every level at 1024 sets the 32-bit PTE (pfn+1) is
+// the tighter limit, at 2^32-1 frames. Each limit is accepted exactly and
+// rejected one line (or one frame) past it.
+func TestValidateEncodingLimits(t *testing.T) {
+	oneSet := func(m *Machine) { m.L1D.SizeBytes, m.L1D.Ways = 8*LineSize, 8 }
+	wide := func(m *Machine) {
+		for _, c := range []*CacheConfig{&m.L1D, &m.L1I, &m.L2, &m.LLC} {
+			c.SizeBytes = 1024 * c.Ways * LineSize
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		setup func(*Machine)
+		limit uint64
+		step  uint64
+	}{
+		{"default L1D", func(*Machine) {}, uint64(Default().L1D.Sets()) << (CacheTagBits + LineShift), LineSize},
+		{"one-set L1D", oneSet, 1 << (CacheTagBits + LineShift), LineSize},
+		{"PTE frame", wide, (MaxPTEFrame + 1) << PageShift, PageSize},
+	} {
+		m := Default()
+		c.setup(&m)
+		m.DRAM.SizeBytes = c.limit
+		if err := m.Validate(); err != nil {
+			t.Errorf("%s: %d-byte DRAM rejected at the limit: %v", c.name, c.limit, err)
+		}
+		m.DRAM.SizeBytes = c.limit + c.step
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: %d-byte DRAM accepted, one step past the limit", c.name, m.DRAM.SizeBytes)
 		}
 	}
 }

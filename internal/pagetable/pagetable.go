@@ -38,7 +38,9 @@ const ptesPerLine = config.LineSize / 8
 
 // Node is one table page. Interior nodes hold children; the leaf level
 // holds PTEs encoded as pfn+1 (0 = not present), mirroring hardware present
-// bits.
+// bits. The simulated entry is 8 bytes (entryPA); the host keeps it in 32
+// bits, which config.Machine.Validate guarantees holds every frame
+// (config.MaxPTEFrame), so a leaf costs 2 KiB of host memory.
 //
 // shared marks a node frozen into a snapshot: any number of snapshots and
 // live tables may alias it. Mutators clone a shared node (and the path
@@ -49,12 +51,12 @@ const ptesPerLine = config.LineSize / 8
 type Node struct {
 	pfn      uint64
 	children []*Node  // nil at leaf level
-	pte      []uint64 // nil at interior levels
+	pte      []uint32 // nil at interior levels
 	shared   bool
 }
 
 // FreeList recycles private nodes, so a warm invocation's table churn
-// reuses 4 KiB entry arrays instead of allocating them. A private node that
+// reuses entry arrays instead of allocating them. A private node that
 // a table unlinks is unreachable: it has one parent and no snapshot holds
 // it. Shared nodes are never recycled, since other snapshots and machines
 // may still read them. Each machine's kernel owns one free list, which both
@@ -87,7 +89,7 @@ func (f *FreeList) get(leaf bool) *Node {
 		return n
 	}
 	if leaf {
-		return &Node{pte: make([]uint64, fanout)}
+		return &Node{pte: make([]uint32, fanout)}
 	}
 	return &Node{children: make([]*Node, fanout)}
 }
@@ -158,7 +160,7 @@ func (t *Table) Walk(vpn uint64, mem Mem) (pfn, cycles uint64, ok bool) {
 	if node.pte[idx] == 0 {
 		return 0, cycles, false
 	}
-	return node.pte[idx] - 1, cycles, true
+	return uint64(node.pte[idx]) - 1, cycles, true
 }
 
 // Install maps vpn -> pfn through mem, creating missing levels on the way.
@@ -200,7 +202,7 @@ func (t *Table) Install(vpn, pfn uint64, mem Mem, alloc func() (frame, cycles ui
 	}
 	idx := index(vpn, 0)
 	cycles += mem.Access(entryPA(node, idx), true)
-	node.pte[idx] = pfn + 1
+	node.pte[idx] = uint32(pfn + 1)
 	return cycles, nil
 }
 
@@ -223,7 +225,7 @@ func (t *Table) Clear(vpn uint64, mem Mem) (pfn, cycles uint64, ok bool) {
 	if node.pte[idx] == 0 {
 		return 0, cycles, false
 	}
-	pfn = node.pte[idx] - 1
+	pfn = uint64(node.pte[idx]) - 1
 	if node.shared {
 		// Copy-on-write: a shared leaf implies a shared path (a private node
 		// is never linked under a shared parent), so privatize the whole
@@ -321,7 +323,7 @@ func (t *Table) ClearRange(start, end uint64, mem Mem, rep HitRepeater,
 				}
 				for ; leaf != nil && vpn < next; vpn++ {
 					e := &leaf.pte[index(vpn, 0)]
-					pfn := *e - 1
+					pfn := uint64(*e) - 1
 					*e = 0
 					c, err := page(vpn, pfn)
 					cycles += c
@@ -429,7 +431,7 @@ func (t *Table) drop(n *Node, frames []uint64) []uint64 {
 	}
 	for _, e := range n.pte {
 		if e != 0 {
-			frames = append(frames, e-1)
+			frames = append(frames, uint64(e)-1)
 		}
 	}
 	frames = append(frames, n.pfn)

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"memento/internal/config"
 	"memento/internal/workload"
@@ -136,6 +137,11 @@ func (sp *JobSpec) Normalize() error {
 		}
 		if sp.Only != "" && sp.Kind == KindFleet {
 			return specErrf("only applies to sweep jobs")
+		}
+		// Key's JSON encoding turns every invalid byte into U+FFFD, so two
+		// such filters would share one cache entry.
+		if !utf8.ValidString(sp.Only) {
+			return specErrf("only %q is not valid UTF-8", sp.Only)
 		}
 	case "":
 		return specErrf("kind is required (run, compare, sweep, or fleet)")

@@ -64,6 +64,7 @@ func TestNormalizeValidation(t *testing.T) {
 		{"run rejects only", JobSpec{Kind: "run", Workload: "html", Only: "fig8"}, false},
 		{"negative interval", JobSpec{Kind: "run", Workload: "html", TimelineInterval: -1}, false},
 		{"sweep ok", JobSpec{Kind: "sweep", Only: "fig8"}, true},
+		{"only not UTF-8", JobSpec{Kind: "sweep", Only: "fig\xff"}, false},
 		{"fleet ok", JobSpec{Kind: "fleet"}, true},
 	}
 	for _, tc := range cases {
@@ -117,6 +118,83 @@ func TestKeyCanonicalization(t *testing.T) {
 	if kd == ka {
 		t.Error("different machine configs collided")
 	}
+}
+
+// FuzzJobSpecNormalize checks the job-spec decoder and the result-cache
+// key on arbitrary specs: a rejected spec wraps ErrInvalidSpec; Normalize
+// is idempotent; an upper-cased, whitespace-padded variant of an accepted
+// spec normalizes to the same spec and gets the same key; and the key of an
+// accepted spec equals the key of a reference spec exactly when the two
+// normalized specs are equal. The references are the accepted seeds.
+func FuzzJobSpecNormalize(f *testing.F) {
+	cfg := config.Default()
+	key := func(t testing.TB, sp JobSpec) string {
+		t.Helper()
+		k, err := sp.Key(cfg)
+		if err != nil {
+			t.Fatalf("Key(%+v): %v", sp, err)
+		}
+		return k
+	}
+	seeds := []JobSpec{
+		{Kind: "run", Workload: "html"},
+		{Kind: " RUN ", Workload: "redis", Stack: "Memento"},
+		{Kind: "run", Workload: "html", ColdStart: true, MmapPopulate: true, TimelineInterval: 500},
+		{Kind: "run", Workload: "html", TimelineInterval: 501},
+		{Kind: "compare", Workload: "SQLite3", ColdStart: true},
+		{Kind: "compare", Workload: "html", Stack: "memento"},
+		{Kind: "sweep"},
+		{Kind: "sweep", Only: "fig8"},
+		{Kind: "sweep", Only: "FIG8"},
+		{Kind: "sweep", Only: "\xfe"},
+		{Kind: "sweep", Only: "\xff"},
+		{Kind: "fleet"},
+		{Kind: "fleet", Only: "fig8"},
+		{Kind: "run", Workload: "nope"},
+		{Kind: "run", Workload: "html", TimelineInterval: -1},
+		{},
+	}
+	type ref struct {
+		spec JobSpec
+		key  string
+	}
+	var refs []ref
+	for _, sp := range seeds {
+		f.Add(sp.Kind, sp.Workload, sp.Stack, sp.ColdStart, sp.MmapPopulate, sp.TimelineInterval, sp.Only)
+		if sp.Normalize() == nil {
+			refs = append(refs, ref{sp, key(f, sp)})
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind, wl, stack string, cold, populate bool, interval int, only string) {
+		sp := JobSpec{Kind: kind, Workload: wl, Stack: stack, ColdStart: cold,
+			MmapPopulate: populate, TimelineInterval: interval, Only: only}
+		if err := sp.Normalize(); err != nil {
+			if !errors.Is(err, ErrInvalidSpec) {
+				t.Fatalf("Normalize(%+v): %v does not wrap ErrInvalidSpec", sp, err)
+			}
+			return
+		}
+		if again := sp; again.Normalize() != nil || again != sp {
+			t.Fatalf("Normalize is not idempotent on %+v", sp)
+		}
+		k := key(t, sp)
+		v := sp
+		v.Kind = " \t" + strings.ToUpper(sp.Kind) + "\n"
+		v.Workload = "\n" + strings.ToUpper(sp.Workload) + " "
+		v.Stack = " " + strings.ToUpper(sp.Stack) + "\t"
+		v.Only = "\t" + sp.Only + " "
+		if err := v.Normalize(); err != nil || v != sp {
+			t.Fatalf("case and whitespace variant of %+v normalizes to %+v (%v)", sp, v, err)
+		}
+		if kv := key(t, v); kv != k {
+			t.Fatalf("case and whitespace variant of %+v keys %s, want %s", sp, kv, k)
+		}
+		for _, r := range refs {
+			if (r.spec == sp) != (r.key == k) {
+				t.Fatalf("specs %+v and %+v: keys %s and %s", sp, r.spec, k, r.key)
+			}
+		}
+	})
 }
 
 func TestRunJobAndCacheHit(t *testing.T) {

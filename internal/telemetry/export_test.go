@@ -38,12 +38,12 @@ func fixtureRuns() []RunRecord {
 		},
 		{
 			Workload: "html", Lang: "python", Stack: "memento",
-			Cycles:  40000,
-			Buckets: Buckets{AppCompute: 20000, AppMem: 10000, UserAlloc: 2000, UserFree: 800, Kernel: 5000, PageMgmt: 2200},
-			Cache:   CacheCounters{L1Hits: 4100, L1Misses: 90, BypassFills: 60},
-			TLB:     TLBCounters{L1Hits: 3950, L1Misses: 60, Walks: 20, WalkCycles: 9000},
-			DRAM:    DRAMCounters{Reads: 6, Writes: 2, ReadBytes: 384, WriteBytes: 128, RowHits: 5, RowMisses: 3, BusyCycles: 800},
-			Kernel:  KernelCounters{Mmaps: 1, PageFaults: 2, SyscallCycles: 900, FaultCycles: 8000},
+			Cycles:    40000,
+			Buckets:   Buckets{AppCompute: 20000, AppMem: 10000, UserAlloc: 2000, UserFree: 800, Kernel: 5000, PageMgmt: 2200},
+			Cache:     CacheCounters{L1Hits: 4100, L1Misses: 90, BypassFills: 60},
+			TLB:       TLBCounters{L1Hits: 3950, L1Misses: 60, Walks: 20, WalkCycles: 9000},
+			DRAM:      DRAMCounters{Reads: 6, Writes: 2, ReadBytes: 384, WriteBytes: 128, RowHits: 5, RowMisses: 3, BusyCycles: 800},
+			Kernel:    KernelCounters{Mmaps: 1, PageFaults: 2, SyscallCycles: 900, FaultCycles: 8000},
 			UserPages: 41, KernelPages: 5, PeakResidentPages: 36, Fragmentation: 0.031,
 		},
 	}
