@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"memento/internal/workload"
@@ -100,6 +101,11 @@ func (a Arrivals) validate() error {
 	if a.MeanGap == 0 {
 		return fmt.Errorf("fleet: arrivals need MeanGap > 0 cycles")
 	}
+	// Every clamp below compares false against NaN, so a NaN shape would
+	// make every gap NaN, whose uint64 conversion Go leaves to the platform.
+	if math.IsNaN(a.BurstFactor) || math.IsNaN(a.Amplitude) {
+		return fmt.Errorf("fleet: arrivals need numeric BurstFactor and Amplitude (got %v, %v)", a.BurstFactor, a.Amplitude)
+	}
 	for _, w := range a.Workloads {
 		if _, ok := workload.ByName(w); !ok {
 			return fmt.Errorf("fleet: unknown workload %q in arrival mix", w)
@@ -116,66 +122,96 @@ func (a Arrivals) mix() []string {
 	return workload.Names()
 }
 
-// generate expands the pattern into the deterministic, time-sorted
-// invocation schedule.
-func (a Arrivals) generate() ([]Invocation, error) {
+// arrivalStream yields the deterministic, time-sorted invocation schedule
+// one invocation at a time, so a run holds O(1) of it however long it is.
+type arrivalStream struct {
+	a   Arrivals // shape parameters, defaults resolved
+	mix []string
+	rng *rand.Rand
+	i   int    // next invocation ID
+	now uint64 // the last arrival time
+}
+
+// stream validates the shape parameters and starts the schedule.
+func (a Arrivals) stream() (*arrivalStream, error) {
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
-	mix := a.mix()
-	rng := rand.New(rand.NewSource(a.Seed))
-	invs := make([]Invocation, a.N)
+	if a.BurstLen <= 0 {
+		a.BurstLen = 32
+	}
+	if a.BurstFactor < 1 {
+		a.BurstFactor = 8
+	}
+	if a.Period == 0 {
+		a.Period = uint64(a.N) * a.MeanGap / 4
+		if a.Period == 0 {
+			a.Period = a.MeanGap
+		}
+	}
+	a.Amplitude = min(max(a.Amplitude, 0), 0.95)
+	return &arrivalStream{a: a, mix: a.mix(), rng: rand.New(rand.NewSource(a.Seed))}, nil
+}
+
+// next returns the next invocation, or false once all N have arrived.
+func (s *arrivalStream) next() (Invocation, bool) {
+	if s.i == s.a.N {
+		return Invocation{}, false
+	}
+	inv := s.a.generate(s.rng, s.mix, s.i, s.now)
+	s.i++
+	s.now = inv.Arrival
+	return inv, true
+}
+
+// distinct consumes the stream and returns the mix's workloads in
+// first-arrival order. It stops once every distinct name of the mix has
+// arrived: after 86 draws on average for the full suite, and after all N
+// only when some workload never arrives.
+func (s *arrivalStream) distinct() []string {
+	seen := make(map[string]bool, len(s.mix))
+	for _, w := range s.mix {
+		seen[w] = false // a repeated name counts once
+	}
+	order := make([]string, 0, len(seen))
+	for len(order) < len(seen) {
+		inv, ok := s.next()
+		if !ok {
+			break
+		}
+		if !seen[inv.Workload] {
+			seen[inv.Workload] = true
+			order = append(order, inv.Workload)
+		}
+	}
+	return order
+}
+
+// generate draws invocation i, which arrives one gap after now. The
+// receiver's shape parameters must have their defaults resolved (stream).
+func (a Arrivals) generate(rng *rand.Rand, mix []string, i int, now uint64) Invocation {
+	name := mix[rng.Intn(len(mix))]
 	mean := float64(a.MeanGap)
-
-	burstLen := a.BurstLen
-	if burstLen <= 0 {
-		burstLen = 32
-	}
-	burstFactor := a.BurstFactor
-	if burstFactor < 1 {
-		burstFactor = 8
-	}
-	period := a.Period
-	if period == 0 {
-		period = uint64(a.N) * a.MeanGap / 4
-		if period == 0 {
-			period = a.MeanGap
+	var gap float64
+	switch a.Pattern {
+	case PatternBursty:
+		gap = rng.ExpFloat64() * mean / a.BurstFactor
+		if (i+1)%a.BurstLen == 0 {
+			// Idle long enough to restore the long-run rate: the burst
+			// saved BurstLen*mean*(1-1/f) cycles; pay them back here.
+			gap += float64(a.BurstLen) * mean * (1 - 1/a.BurstFactor)
 		}
+	case PatternDiurnal:
+		// Triangle wave in [1-amp, 1+amp] over the period modulates the
+		// arrival *rate*; the gap divides by it.
+		phase := float64(now%a.Period) / float64(a.Period) // [0,1)
+		tri := 1 - 4*absf(phase-0.5)                       // [-1,1], peak mid-period
+		rate := 1 + a.Amplitude*tri
+		gap = rng.ExpFloat64() * mean / rate
+	default: // PatternPoisson
+		gap = rng.ExpFloat64() * mean
 	}
-	amp := a.Amplitude
-	if amp < 0 {
-		amp = 0
-	}
-	if amp > 0.95 {
-		amp = 0.95
-	}
-
-	var now uint64
-	for i := range invs {
-		name := mix[rng.Intn(len(mix))]
-		var gap float64
-		switch a.Pattern {
-		case PatternBursty:
-			gap = rng.ExpFloat64() * mean / burstFactor
-			if (i+1)%burstLen == 0 {
-				// Idle long enough to restore the long-run rate: the burst
-				// saved burstLen*mean*(1-1/f) cycles; pay them back here.
-				gap += float64(burstLen) * mean * (1 - 1/burstFactor)
-			}
-		case PatternDiurnal:
-			// Triangle wave in [1-amp, 1+amp] over the period modulates the
-			// arrival *rate*; the gap divides by it.
-			phase := float64(now%period) / float64(period) // [0,1)
-			tri := 1 - 4*absf(phase-0.5)                   // [-1,1], peak mid-period
-			rate := 1 + amp*tri
-			gap = rng.ExpFloat64() * mean / rate
-		default: // PatternPoisson
-			gap = rng.ExpFloat64() * mean
-		}
-		now += uint64(gap)
-		invs[i] = Invocation{ID: i, Workload: name, Arrival: now}
-	}
-	return invs, nil
+	return Invocation{ID: i, Workload: name, Arrival: now + uint64(gap)}
 }
 
 func absf(f float64) float64 {

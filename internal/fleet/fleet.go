@@ -286,7 +286,7 @@ type hostState struct {
 	uidPos map[int]int
 	// wl lists, per interned workload id, the internal positions of that
 	// workload's warm instances in ascending (hence idleSince-sorted)
-	// order. Grown lazily as the host first sees each id.
+	// order. It has one slot per workload of the run (newEngine).
 	wl [][]int
 	// resident counts resident instances (running plus warm) per workload;
 	// co-residents share the workload's copy-on-write warm-start base, so
@@ -387,10 +387,7 @@ func (c *Cluster) WarmFreshest(h int, workload string) int {
 		return -1
 	}
 	host := &c.hosts[h]
-	var wl []int
-	if id < len(host.wl) {
-		wl = host.wl[id]
-	}
+	wl := host.wl[id]
 	if len(wl) == 0 {
 		return -1
 	}
@@ -483,10 +480,7 @@ func (e *engine) syncHostLL(h int) {
 func (e *engine) syncWarmLeaf(h, wid int) {
 	host := &e.c.hosts[h]
 	t := e.c.warmIdx[wid]
-	var wl []int
-	if wid < len(host.wl) {
-		wl = host.wl[wid]
-	}
+	wl := host.wl[wid]
 	if len(wl) == 0 || !e.slotFree(h) {
 		t.update(h, 0, false)
 		return
@@ -532,9 +526,6 @@ func (e *engine) setUsed(h int, delta int64) {
 func (e *engine) warmAdd(h int, w warmInst) {
 	host := &e.c.hosts[h]
 	w.wid = e.c.widOf(w.workload)
-	for len(host.wl) <= w.wid {
-		host.wl = append(host.wl, nil)
-	}
 	pos := len(host.warm)
 	wl := host.wl[w.wid]
 	w.wslot = len(wl)
@@ -653,12 +644,14 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 	if f.policy == nil {
 		return nil, fmt.Errorf("fleet: nil policy")
 	}
-	invs, err := f.arr.generate()
+	// A prefix of one copy of the arrival stream names the workloads to
+	// price; the engine then pulls a second copy to the end.
+	prefix, err := f.arr.stream()
 	if err != nil {
 		return nil, err
 	}
 	restores0 := f.backend.Restores()
-	costs, err := f.measure(invs, stack)
+	costs, err := f.measure(prefix.distinct(), stack)
 	if err != nil {
 		return nil, err
 	}
@@ -668,39 +661,25 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 				name, c.FootprintPages, f.hosts.MemPages)
 		}
 	}
-
-	e := &engine{
-		f:         f,
-		stack:     stack,
-		costs:     costs,
-		selfCheck: f.selfCheck,
-		c: Cluster{
-			cores:    f.hosts.Cores,
-			perCore:  f.perCore,
-			memPages: f.hosts.MemPages,
-			hosts:    make([]hostState, f.hosts.Count),
-			ll:       newLLTree(f.hosts.Count),
-			wids:     make(map[string]int, len(costs)),
-			naive:    f.naive,
-		},
-		res: &Result{
-			Policy:  f.policy.Name(),
-			Stack:   stack,
-			Pattern: f.arr.Pattern.String(),
-			Hosts:   f.hosts,
-		},
+	arrivals, err := f.arr.stream()
+	if err != nil {
+		return nil, err
 	}
-	for i := range e.c.hosts {
-		host := &e.c.hosts[i]
-		host.slots = make([]int, f.hosts.Cores)
-		host.resident = make(map[string]int)
-		host.uidPos = make(map[int]int)
-		e.c.ll.update(i, 0, f.hosts.MemPages, true)
+
+	e := newEngine(f.hosts, f.perCore, costs)
+	e.f, e.stack, e.selfCheck, e.c.naive = f, stack, f.selfCheck, f.naive
+	e.res = &Result{
+		Policy:  f.policy.Name(),
+		Stack:   stack,
+		Pattern: f.arr.Pattern.String(),
+		Hosts:   f.hosts,
+		// Every invocation completes exactly once.
+		Latencies: make([]uint64, 0, f.arr.N),
 	}
 	for name := range costs {
 		e.res.SnapshotBytes += costs[name].SnapshotBytes
 	}
-	if err := e.loop(invs); err != nil {
+	if err := e.loop(arrivals); err != nil {
 		return nil, err
 	}
 	if e.pending.len() > 0 {
@@ -713,17 +692,38 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 	return e.res, nil
 }
 
+// newEngine builds the engine state over an empty cluster of the given
+// hosts for the workloads priced in costs. Each host's wl index gets one
+// slot per workload up front: interned ids only ever name workloads that
+// arrive, and every arriving workload has a cost.
+func newEngine(hosts Hosts, perCore int, costs map[string]Cost) *engine {
+	e := &engine{
+		costs: costs,
+		c: Cluster{
+			cores:    hosts.Cores,
+			perCore:  perCore,
+			memPages: hosts.MemPages,
+			hosts:    make([]hostState, hosts.Count),
+			ll:       newLLTree(hosts.Count),
+			wids:     make(map[string]int, len(costs)),
+		},
+	}
+	nw := len(costs)
+	wl := make([][]int, hosts.Count*nw)
+	for i := range e.c.hosts {
+		host := &e.c.hosts[i]
+		host.slots = make([]int, hosts.Cores)
+		host.resident = make(map[string]int)
+		host.uidPos = make(map[int]int)
+		host.wl = wl[i*nw : (i+1)*nw : (i+1)*nw]
+		e.c.ll.update(i, 0, hosts.MemPages, true)
+	}
+	return e
+}
+
 // measure resolves the cost model for every distinct workload of the
 // arrival trace, fanning measurements out across workers.
-func (f *Fleet) measure(invs []Invocation, stack machine.Stack) (map[string]Cost, error) {
-	distinct := make([]string, 0, 32)
-	seen := make(map[string]bool)
-	for _, inv := range invs {
-		if !seen[inv.Workload] {
-			seen[inv.Workload] = true
-			distinct = append(distinct, inv.Workload)
-		}
-	}
+func (f *Fleet) measure(distinct []string, stack machine.Stack) (map[string]Cost, error) {
 	workers := f.workers
 	if workers <= 0 || workers > len(distinct) {
 		workers = len(distinct)
@@ -782,17 +782,15 @@ func (e *engine) memDelta(delta int64) {
 	}
 }
 
-// loop is the discrete-event core: arrivals feed from the already
-// time-sorted trace through a cursor, merged against the
-// completion/expiry queue. At equal times an arrival goes first — the same
-// order the heap-fed engine produced, where every arrival was pushed
-// before any dynamic event and so carried a lower seq.
-func (e *engine) loop(invs []Invocation) error {
-	next := 0
-	for next < len(invs) || e.events.len() > 0 {
-		if k, ok := e.events.peek(); next < len(invs) && (!ok || invs[next].Arrival <= k.time) {
-			inv := invs[next]
-			next++
+// loop is the discrete-event core: arrivals are pulled one at a time from
+// the time-sorted stream, merged against the completion/expiry queue. At
+// equal times an arrival goes first — the same order the heap-fed engine
+// produced, where every arrival was pushed before any dynamic event and so
+// carried a lower seq.
+func (e *engine) loop(arrivals *arrivalStream) error {
+	inv, more := arrivals.next()
+	for more || e.events.len() > 0 {
+		if k, ok := e.events.peek(); more && (!ok || inv.Arrival <= k.time) {
 			e.c.now = inv.Arrival
 			placed, err := e.tryPlace(inv)
 			if err != nil {
@@ -804,6 +802,7 @@ func (e *engine) loop(invs []Invocation) error {
 					e.res.MaxQueue = n
 				}
 			}
+			inv, more = arrivals.next()
 		} else {
 			k := e.events.pop()
 			e.c.now = k.time

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"runtime"
 	"testing"
 
 	"memento/internal/config"
@@ -135,6 +136,62 @@ func TestFleetSimBackendSharedBase(t *testing.T) {
 		}
 		if c.RestoreBytes == 0 || c.RestoreBytes >= c.SnapshotBytes {
 			t.Errorf("%v: restore bytes = %d, want in (0, %d)", stack, c.RestoreBytes, c.SnapshotBytes)
+		}
+	}
+}
+
+// TestFleetAllocPerInvocation pins the engine's host memory to its hosts,
+// not its arrivals: at a fixed host pool, running 2N invocations instead
+// of N may allocate at most 24 bytes per extra invocation. What stays O(N)
+// is the 8-byte latency vector and, under a TTL, the eviction log;
+// materializing the schedule would add 32 bytes per invocation. The
+// schedules are the benchmark's fleet-lru and fleet-ttl at a tenth of
+// their hosts.
+func TestFleetAllocPerInvocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation distorts allocation counts")
+	}
+	if testing.Short() {
+		t.Skip("300k-invocation runs; skipped in -short mode")
+	}
+	const n = 100_000
+	schedules := []struct {
+		name   string
+		arr    func(n int) Arrivals
+		hosts  Hosts
+		policy Policy
+	}{
+		{"lru-bursty", func(n int) Arrivals { return Bursty(n, 9000, 1) },
+			Hosts{Count: 1000, Cores: 2, MemPages: 1600}, LRU()},
+		{"ttl-poisson", func(n int) Arrivals { return Poisson(n, 90_000, 1) },
+			Hosts{Count: 100, Cores: 2, MemPages: 16384}, KeepAlive(150_000_000)},
+	}
+	for _, sc := range schedules {
+		allocated := func(n int) uint64 {
+			f := New(config.Default(),
+				WithArrivals(sc.arr(n)),
+				WithHosts(sc.hosts),
+				WithPolicy(sc.policy),
+				WithBackend(staticCosts()),
+				WithoutLatencies(),
+			)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := f.Run(machine.Memento)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Invocations != n {
+				t.Fatalf("%s: %d of %d invocations completed", sc.name, r.Invocations, n)
+			}
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		small, large := allocated(n), allocated(2*n)
+		perInv := (float64(large) - float64(small)) / n
+		t.Logf("%s: %.1f B per extra invocation (%d B at N, %d B at 2N)", sc.name, perInv, small, large)
+		if perInv > 24 {
+			t.Errorf("%s: %.1f B allocated per extra invocation, want at most 24", sc.name, perInv)
 		}
 	}
 }

@@ -18,25 +18,8 @@ func newIndexEngine(hosts, cores, perCore int, memPages uint64, workloads []stri
 	for _, w := range workloads {
 		costs[w] = Cost{RunCycles: 1, FootprintPages: 10}
 	}
-	e := &engine{
-		costs: costs,
-		c: Cluster{
-			cores:    cores,
-			perCore:  perCore,
-			memPages: memPages,
-			hosts:    make([]hostState, hosts),
-			ll:       newLLTree(hosts),
-			wids:     make(map[string]int, len(workloads)),
-		},
-		res: &Result{},
-	}
-	for i := range e.c.hosts {
-		host := &e.c.hosts[i]
-		host.slots = make([]int, cores)
-		host.resident = make(map[string]int)
-		host.uidPos = make(map[int]int)
-		e.c.ll.update(i, 0, memPages, true)
-	}
+	e := newEngine(Hosts{Count: hosts, Cores: cores, MemPages: memPages}, perCore, costs)
+	e.res = &Result{}
 	return e
 }
 
