@@ -84,6 +84,8 @@ func Diurnal(n int, meanGap uint64, seed int64) Arrivals {
 }
 
 // Invocation is one function invocation in the fleet's arrival trace.
+// One the engine hands out also carries an unexported workload id, so
+// compare Invocations by their exported fields rather than with ==.
 type Invocation struct {
 	// ID is the arrival index (0-based).
 	ID int
@@ -91,7 +93,16 @@ type Invocation struct {
 	Workload string
 	// Arrival is the arrival time in cycles.
 	Arrival uint64
+
+	// wid is one plus the workload's dense id in its run (arrivalStream
+	// numbers the deduplicated mix), so the engine indexes slices instead
+	// of hashing the name. It is zero on an Invocation built by hand, which
+	// the engine resolves through the name instead (Cluster.idOf).
+	wid int32
 }
+
+// id is the invocation's dense workload id, or -1 when it carries none.
+func (inv Invocation) id() int { return int(inv.wid) - 1 }
 
 // validate checks the shape parameters.
 func (a Arrivals) validate() error {
@@ -127,9 +138,13 @@ func (a Arrivals) mix() []string {
 type arrivalStream struct {
 	a   Arrivals // shape parameters, defaults resolved
 	mix []string
-	rng *rand.Rand
-	i   int    // next invocation ID
-	now uint64 // the last arrival time
+	// names is the mix deduplicated in mix order; a workload's dense id is
+	// its index here, and wids[j] is the id of mix[j].
+	names []string
+	wids  []int32
+	rng   *rand.Rand
+	i     int    // next invocation ID
+	now   uint64 // the last arrival time
 }
 
 // stream validates the shape parameters and starts the schedule.
@@ -150,7 +165,19 @@ func (a Arrivals) stream() (*arrivalStream, error) {
 		}
 	}
 	a.Amplitude = min(max(a.Amplitude, 0), 0.95)
-	return &arrivalStream{a: a, mix: a.mix(), rng: rand.New(rand.NewSource(a.Seed))}, nil
+	s := &arrivalStream{a: a, mix: a.mix(), rng: rand.New(rand.NewSource(a.Seed))}
+	ids := make(map[string]int32, len(s.mix))
+	s.wids = make([]int32, len(s.mix))
+	for j, w := range s.mix {
+		id, ok := ids[w]
+		if !ok {
+			id = int32(len(s.names))
+			ids[w] = id
+			s.names = append(s.names, w)
+		}
+		s.wids[j] = id
+	}
+	return s, nil
 }
 
 // next returns the next invocation, or false once all N have arrived.
@@ -158,7 +185,7 @@ func (s *arrivalStream) next() (Invocation, bool) {
 	if s.i == s.a.N {
 		return Invocation{}, false
 	}
-	inv := s.a.generate(s.rng, s.mix, s.i, s.now)
+	inv := s.a.generate(s.rng, s.mix, s.wids, s.i, s.now)
 	s.i++
 	s.now = inv.Arrival
 	return inv, true
@@ -169,28 +196,26 @@ func (s *arrivalStream) next() (Invocation, bool) {
 // arrived: after 86 draws on average for the full suite, and after all N
 // only when some workload never arrives.
 func (s *arrivalStream) distinct() []string {
-	seen := make(map[string]bool, len(s.mix))
-	for _, w := range s.mix {
-		seen[w] = false // a repeated name counts once
-	}
-	order := make([]string, 0, len(seen))
-	for len(order) < len(seen) {
+	seen := make([]bool, len(s.names)) // by dense id: a repeated name counts once
+	order := make([]string, 0, len(s.names))
+	for len(order) < len(s.names) {
 		inv, ok := s.next()
 		if !ok {
 			break
 		}
-		if !seen[inv.Workload] {
-			seen[inv.Workload] = true
+		if id := inv.id(); !seen[id] {
+			seen[id] = true
 			order = append(order, inv.Workload)
 		}
 	}
 	return order
 }
 
-// generate draws invocation i, which arrives one gap after now. The
-// receiver's shape parameters must have their defaults resolved (stream).
-func (a Arrivals) generate(rng *rand.Rand, mix []string, i int, now uint64) Invocation {
-	name := mix[rng.Intn(len(mix))]
+// generate draws invocation i, which arrives one gap after now; wids[j]
+// is the dense id of mix[j]. The receiver's shape parameters must have
+// their defaults resolved (stream).
+func (a Arrivals) generate(rng *rand.Rand, mix []string, wids []int32, i int, now uint64) Invocation {
+	j := rng.Intn(len(mix))
 	mean := float64(a.MeanGap)
 	var gap float64
 	switch a.Pattern {
@@ -211,7 +236,7 @@ func (a Arrivals) generate(rng *rand.Rand, mix []string, i int, now uint64) Invo
 	default: // PatternPoisson
 		gap = rng.ExpFloat64() * mean
 	}
-	return Invocation{ID: i, Workload: name, Arrival: now + uint64(gap)}
+	return Invocation{ID: i, Workload: mix[j], Arrival: now + uint64(gap), wid: wids[j] + 1}
 }
 
 func absf(f float64) float64 {

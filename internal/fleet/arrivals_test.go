@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"memento/internal/config"
@@ -13,11 +14,19 @@ import (
 
 // referenceSchedule expands the whole schedule into a slice in one loop:
 // the oracle the arrival stream must reproduce invocation for invocation.
+// A workload's dense id is the rank of its first occurrence among the
+// mix's distinct names, found here by a linear search.
 func referenceSchedule(a Arrivals) ([]Invocation, error) {
 	if err := a.validate(); err != nil {
 		return nil, err
 	}
 	mix := a.mix()
+	var distinct []string
+	for _, w := range mix {
+		if !slices.Contains(distinct, w) {
+			distinct = append(distinct, w)
+		}
+	}
 	rng := rand.New(rand.NewSource(a.Seed))
 	invs := make([]Invocation, a.N)
 	mean := float64(a.MeanGap)
@@ -64,7 +73,7 @@ func referenceSchedule(a Arrivals) ([]Invocation, error) {
 			gap = rng.ExpFloat64() * mean
 		}
 		now += uint64(gap)
-		invs[i] = Invocation{ID: i, Workload: name, Arrival: now}
+		invs[i] = Invocation{ID: i, Workload: name, Arrival: now, wid: int32(slices.Index(distinct, name)) + 1}
 	}
 	return invs, nil
 }

@@ -21,6 +21,27 @@ func conformanceCost() Backend {
 	}
 }
 
+// conformanceScenario is one cluster and arrival trace Conformance runs a
+// policy on.
+type conformanceScenario struct {
+	label string
+	arr   Arrivals
+	hosts Hosts
+}
+
+// conformanceScenarios are Conformance's runs: every arrival pattern on a
+// roomy cluster, plus one tight enough to force evictions.
+func conformanceScenarios() []conformanceScenario {
+	return []conformanceScenario{
+		{"poisson", Poisson(300, 4_000_000, 7), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
+		{"bursty", Bursty(300, 4_000_000, 8), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
+		{"diurnal", Diurnal(300, 4_000_000, 9), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
+		// Tight memory: room for only ~2 footprints per host, forcing the
+		// eviction path on every keep-warm policy.
+		{"pressure", Poisson(200, 3_000_000, 10), Hosts{Count: 2, Cores: 2, MemPages: 2400}},
+	}
+}
+
 // Conformance checks a Policy implementation against the engine contract
 // every shipped policy satisfies, and returns the first violation:
 //
@@ -53,19 +74,7 @@ func Conformance(mk func() Policy) error {
 	if n2 := mk().Name(); n2 != name {
 		return fmt.Errorf("fleet: policy Name() unstable across instances: %q vs %q", name, n2)
 	}
-	scenarios := []struct {
-		label string
-		arr   Arrivals
-		hosts Hosts
-	}{
-		{"poisson", Poisson(300, 4_000_000, 7), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
-		{"bursty", Bursty(300, 4_000_000, 8), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
-		{"diurnal", Diurnal(300, 4_000_000, 9), Hosts{Count: 3, Cores: 2, MemPages: 8192}},
-		// Tight memory: room for only ~2 footprints per host, forcing the
-		// eviction path on every keep-warm policy.
-		{"pressure", Poisson(200, 3_000_000, 10), Hosts{Count: 2, Cores: 2, MemPages: 2400}},
-	}
-	for _, sc := range scenarios {
+	for _, sc := range conformanceScenarios() {
 		run := func(opts ...Option) (*Result, error) {
 			f := New(config.Default(),
 				append([]Option{

@@ -15,25 +15,28 @@
 // scale the vHive snapshot study and Squeezy target.
 //
 // The scheduling hot path is indexed: a least-loaded tournament tree,
-// per-workload warm trees (workload names interned to dense ids), per-host
-// idle-sorted warm rings with uid maps, and an arrivals cursor merged with
-// the completion/expiry queue answer every placement, victim, and expiry
-// query in O(1)-O(log N), where the original engine scanned O(hosts x warm
-// instances) per event. The trees are 8-ary with early-exit updates; the
-// queue orders compact (time, seq, slot) keys over a payload slab, and
-// keep-alive deadlines that arrive in time order (any fixed TTL) bypass
-// its heap through a FIFO lane. The original scans are retained in reference.go as
-// ground truth — WithReferenceScans routes every accessor through them —
-// and the index tie-breaks reproduce the scan order exactly, so the two
-// engines are differentially tested for deeply equal Results (Conformance,
-// the index test suite). 10k-host, million-invocation runs finish in
-// seconds (BenchmarkFleetScale).
+// per-workload warm heaps over the eligible hosts, per-host idle-sorted
+// warm rings with an engine-level slab of warm-instance records, and an
+// arrivals cursor merged with the completion/expiry queue answer every
+// placement, victim, and expiry query in O(1)-O(log N), where the
+// original engine scanned O(hosts x warm instances) per event. Workloads
+// are dense ids the arrival stream numbers, so no event hashes a string.
+// The tree is 8-ary with early-exit updates; the queue orders compact
+// (time, seq, slot, lane) keys over a payload slab, and keys of one delay
+// class (a completion's workload, warm or cold, and co-residency degree;
+// a fixed keep-alive TTL) arrive in time order and ride that class's FIFO
+// lane instead of its heap. The original scans are retained in
+// reference.go as ground truth — WithReferenceScans routes every accessor
+// through them — and the index tie-breaks reproduce the scan order
+// exactly, so the two engines are differentially tested for deeply equal
+// Results (Conformance, the index test suite). 10k-host,
+// million-invocation runs finish in under a second (BenchmarkFleetScale).
 //
 // # Invariants
 //
 // Determinism: arrivals come from an explicitly seeded local rand.Source
 // (never the global one), the event queue breaks ties on (time, seq) — a
-// total order, so how it splits keys between lane and heap cannot change
+// total order, so how it splits keys between lanes and heap cannot change
 // the schedule — and the cost backend memoizes machine runs, metering the
 // delta restore on a machine it holds rather than one recycled through a
 // sync.Pool. The same Fleet configuration always produces the same

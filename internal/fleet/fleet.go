@@ -238,8 +238,8 @@ func (r *Result) PeakBytes() uint64 { return r.PeakPages * config.PageSize }
 // Cluster is the engine state a Policy observes: host occupancy, free
 // memory, and warm pools. All accessors are read-only views; the engine
 // owns every mutation and keeps the placement indexes (least-loaded
-// tournament, per-workload warm trees, uid map) in sync, so the
-// accelerated accessors — LeastLoadedHost, BestWarmHost, WarmFreshest,
+// tournament, per-workload warm heaps, warm-instance records) in sync, so
+// the accelerated accessors — LeastLoadedHost, BestWarmHost, WarmFreshest,
 // OldestWarm — answer in O(1)-O(log N) what a full scan answers in
 // O(hosts x warm instances), with identical tie-breaks.
 type Cluster struct {
@@ -252,23 +252,27 @@ type Cluster struct {
 	// Placement indexes, engine-maintained. naive routes the accelerated
 	// accessors through the retained reference scans instead (see
 	// WithReferenceScans); the indexes stay maintained either way.
-	// Workload names are interned to dense ids on first sight (wids), so
-	// the per-event maintenance indexes slices instead of hashing strings.
+	// Workloads are known by the dense ids the arrival stream numbers them
+	// with (Invocation.id), so the per-event maintenance indexes slices
+	// instead of hashing strings; wids resolves a bare name.
 	ll      *llTree
-	warmIdx []*warmTree    // per-workload warm trees, by interned id
-	wids    map[string]int // workload name -> interned id
+	warmIdx []*warmHeap    // per-workload warm heaps, by dense id
+	names   []string       // dense id -> workload name
+	wids    map[string]int // workload name -> dense id
 	naive   bool
 }
 
-// widOf interns a workload name, allocating its warm tree on first sight.
-func (c *Cluster) widOf(w string) int {
-	if id, ok := c.wids[w]; ok {
+// idOf resolves an invocation's dense workload id, or -1 for a workload
+// outside the run's mix. An invocation from the arrival stream carries
+// its id; one a policy built or rewrote is resolved by name.
+func (c *Cluster) idOf(inv Invocation) int {
+	if id := inv.id(); id >= 0 && id < len(c.names) && c.names[id] == inv.Workload {
 		return id
 	}
-	id := len(c.warmIdx)
-	c.wids[w] = id
-	c.warmIdx = append(c.warmIdx, newWarmTree(len(c.hosts)))
-	return id
+	if id, ok := c.wids[inv.Workload]; ok {
+		return id
+	}
+	return -1
 }
 
 type hostState struct {
@@ -281,34 +285,42 @@ type hostState struct {
 	// victim is the head, the freshest instance sits at the tail.
 	warm  []warmInst
 	whead int
-	// uidPos maps a warm instance's uid to its internal position in warm,
-	// so TTL expiry and eviction bookkeeping never scan the pool.
-	uidPos map[int]int
-	// wl lists, per interned workload id, the internal positions of that
-	// workload's warm instances in ascending (hence idleSince-sorted)
-	// order. It has one slot per workload of the run (newEngine).
-	wl [][]int
-	// resident counts resident instances (running plus warm) per workload;
-	// co-residents share the workload's copy-on-write warm-start base, so
-	// the first instance charges the full footprint and each sibling only
-	// the private remainder.
-	resident map[string]int
+	// wl lists, per workload id, the internal positions of that workload's
+	// warm instances in ascending (hence idleSince-sorted) order; kinds
+	// counts the non-empty lists. It has one slot per workload of the run
+	// (newEngine).
+	wl    [][]int
+	kinds int
+	// resident counts resident instances (running plus warm) per workload
+	// id; co-residents share the workload's copy-on-write warm-start base,
+	// so the first instance charges the full footprint and each sibling
+	// only the private remainder.
+	resident []int32
 }
 
 type warmInst struct {
-	uid       int
-	workload  string
-	wid       int // interned workload id (Cluster.wids[workload])
 	pages     uint64
 	idleSince uint64
 	expireAt  uint64
+	wid       int32 // the workload's dense id
 	// wslot is this instance's slot in its workload's wl position list.
-	wslot int
+	wslot int32
+	// rec is the instance's record in the engine's warmRecs slab, which
+	// holds its uid and internal position.
+	rec int32
 	// trimmed marks a lazily-kept instance: its private pages were dropped
 	// when it went idle (a warm hit delta-restores them from the shared
 	// checkpoint base), so it holds only its share of the base. Only
 	// possible when the cost model reports a shared base to restore from.
 	trimmed bool
+}
+
+// warmRec locates one warm instance: its uid and internal position in its
+// host's pool. A record is freed when its instance leaves the pool, so an
+// expiry that finds a different uid in its record is stale.
+type warmRec struct {
+	uid int
+	pos int
 }
 
 // Now is the simulation clock in cycles.
@@ -343,7 +355,7 @@ func (c *Cluster) WarmCount(h int) int { return len(c.hosts[h].warm) - c.hosts[h
 // in warm-add order, which is also ascending IdleSince order.
 func (c *Cluster) WarmAt(h, i int) Warm {
 	w := c.hosts[h].warm[c.hosts[h].whead+i]
-	return Warm{Workload: w.workload, Pages: w.pages, IdleSince: w.idleSince, ExpireAt: w.expireAt}
+	return Warm{Workload: c.names[w.wid], Pages: w.pages, IdleSince: w.idleSince, ExpireAt: w.expireAt}
 }
 
 // LeastLoadedHost is the accelerated PlaceLeastLoaded query: the host
@@ -361,14 +373,18 @@ func (c *Cluster) LeastLoadedHost() int {
 // host with a free core slot holding the most-recently-idled warm
 // instance for the workload (ties toward the lower host index), or -1
 // when no such instance exists anywhere. O(1) off the workload's warm
-// tournament tree.
+// heap.
 func (c *Cluster) BestWarmHost(workload string) int {
-	if c.naive {
-		return c.refBestWarmHost(workload)
-	}
-	id, ok := c.wids[workload]
-	if !ok {
+	return c.bestWarm(c.idOf(Invocation{Workload: workload}))
+}
+
+// bestWarm is BestWarmHost by dense workload id (-1: none).
+func (c *Cluster) bestWarm(id int) int {
+	if id < 0 {
 		return -1
+	}
+	if c.naive {
+		return c.refBestWarmHost(c.names[id])
 	}
 	return c.warmIdx[id].best()
 }
@@ -379,12 +395,16 @@ func (c *Cluster) BestWarmHost(workload string) int {
 // strict comparison — the first instance of the maximal IdleSince run —
 // in O(log warm pool).
 func (c *Cluster) WarmFreshest(h int, workload string) int {
-	if c.naive {
-		return c.refWarmFreshest(h, workload)
-	}
-	id, ok := c.wids[workload]
-	if !ok {
+	return c.warmFreshest(h, c.idOf(Invocation{Workload: workload}))
+}
+
+// warmFreshest is WarmFreshest by dense workload id (-1: none).
+func (c *Cluster) warmFreshest(h, id int) int {
+	if id < 0 {
 		return -1
+	}
+	if c.naive {
+		return c.refWarmFreshest(h, c.names[id])
 	}
 	host := &c.hosts[h]
 	wl := host.wl[id]
@@ -430,27 +450,36 @@ const (
 	evExpiry
 )
 
-// event is a queued event's payload, one 64-byte slab entry; its time and
-// seq live in the queue's key.
+// event is a queued event's payload, one slab entry; its time and seq
+// live in the queue's key.
 type event struct {
 	inv  Invocation // completion: the invocation
 	ded  uint64     // completion: dispatch time
 	uid  int        // expiry: the warm instance
 	host int32
-	slot int32 // completion: the core slot
+	slot int32 // completion: the core slot; expiry: the instance's warmRecs record
 	kind uint8
 	warm bool // completion: served by a warm instance
 }
+
+// expiryLane is the event queue lane keep-alive deadlines share; each
+// completion delay class (workload, warm or cold, co-residency degree)
+// has its own lane above it, numbered in tryPlace.
+const expiryLane = 0
 
 // engine is the per-Run mutable state.
 type engine struct {
 	f       *Fleet
 	stack   machine.Stack
 	c       Cluster
-	costs   map[string]Cost
+	costs   []Cost // by dense workload id
 	events  eventQueue
 	pending pendingRing
 	uid     int
+	// warmRecs holds one record per live warm instance, recycled through
+	// freeRecs.
+	warmRecs []warmRec
+	freeRecs []int32
 	// selfCheck cross-checks every indexed accessor against its reference
 	// scan after each event (Conformance turns it on).
 	selfCheck bool
@@ -474,10 +503,10 @@ func (e *engine) syncHostLL(h int) {
 	e.c.ll.update(h, host.running, e.c.memPages-host.used, e.slotFree(h))
 }
 
-// syncWarmLeaf re-keys host h in workload wid's warm tree: the host's
+// syncWarmLeaf re-keys host h in workload wid's warm heap: the host's
 // freshest matching idle time when it holds one and has a free slot,
-// ineligible otherwise.
-func (e *engine) syncWarmLeaf(h, wid int) {
+// absent otherwise.
+func (e *engine) syncWarmLeaf(h int, wid int32) {
 	host := &e.c.hosts[h]
 	t := e.c.warmIdx[wid]
 	wl := host.wl[wid]
@@ -490,25 +519,26 @@ func (e *engine) syncWarmLeaf(h, wid int) {
 
 // setRunning adjusts host h's running count, keeping the indexes in sync.
 // Crossing the all-slots-busy boundary flips the host's eligibility in
-// every warm tree it appears in (the per-tree updates are independent, so
-// map iteration order cannot affect the outcome).
+// the warm heap of every workload it holds warm. Those are the workloads
+// whose freshest instance a walk back from the pool's tail meets, and the
+// walk stops once it has met all of them.
 func (e *engine) setRunning(h, delta int) {
 	host := &e.c.hosts[h]
 	wasFree := e.slotFree(h)
 	host.running += delta
 	e.syncHostLL(h)
-	if free := e.slotFree(h); free != wasFree {
-		// The per-tree updates are independent, so order cannot matter.
-		for wid, wl := range host.wl {
-			if len(wl) == 0 {
-				continue
-			}
-			if t := e.c.warmIdx[wid]; free {
-				t.update(h, host.warm[wl[len(wl)-1]].idleSince, true)
-			} else {
-				t.update(h, 0, false)
-			}
+	free := e.slotFree(h)
+	if free == wasFree {
+		return
+	}
+	// The per-heap updates are independent, so order cannot matter.
+	for j, met := len(host.warm)-1, 0; met < host.kinds; j-- {
+		w := &host.warm[j]
+		if int(w.wslot) != len(host.wl[w.wid])-1 {
+			continue // not its workload's freshest
 		}
+		met++
+		e.c.warmIdx[w.wid].update(h, w.idleSince, free)
 	}
 }
 
@@ -520,19 +550,32 @@ func (e *engine) setUsed(h int, delta int64) {
 	e.syncHostLL(h)
 }
 
-// warmAdd appends a warm instance to host h's pool and indexes it. The
-// simulation clock is non-decreasing, so appending preserves the pool's
-// idleSince sort.
-func (e *engine) warmAdd(h int, w warmInst) {
+// warmAdd appends a warm instance to host h's pool, indexes it under a
+// fresh uid, and returns its record and uid. The simulation clock is
+// non-decreasing, so appending preserves the pool's idleSince sort.
+func (e *engine) warmAdd(h int, w warmInst) (rec int32, uid int) {
 	host := &e.c.hosts[h]
-	w.wid = e.c.widOf(w.workload)
 	pos := len(host.warm)
+	uid = e.uid
+	e.uid++
+	if n := len(e.freeRecs); n > 0 {
+		rec = e.freeRecs[n-1]
+		e.freeRecs = e.freeRecs[:n-1]
+		e.warmRecs[rec] = warmRec{uid: uid, pos: pos}
+	} else {
+		rec = int32(len(e.warmRecs))
+		e.warmRecs = append(e.warmRecs, warmRec{uid: uid, pos: pos})
+	}
+	w.rec = rec
 	wl := host.wl[w.wid]
-	w.wslot = len(wl)
+	if len(wl) == 0 {
+		host.kinds++
+	}
+	w.wslot = int32(len(wl))
 	host.warm = append(host.warm, w)
 	host.wl[w.wid] = append(wl, pos)
-	host.uidPos[w.uid] = pos
 	e.syncWarmLeaf(h, w.wid)
+	return rec, uid
 }
 
 // warmRemove removes the warm instance at pool index i (as seen by
@@ -550,20 +593,23 @@ func (e *engine) warmRemove(h, i int) warmInst {
 	copy(wl[w.wslot:], wl[w.wslot+1:])
 	wl = wl[:len(wl)-1]
 	host.wl[w.wid] = wl
-	for k := w.wslot; k < len(wl); k++ {
-		host.warm[wl[k]].wslot = k
+	for k := int(w.wslot); k < len(wl); k++ {
+		host.warm[wl[k]].wslot = int32(k)
 	}
-	delete(host.uidPos, w.uid)
+	if len(wl) == 0 {
+		host.kinds--
+	}
+	e.warmRecs[w.rec].uid = -1
+	e.freeRecs = append(e.freeRecs, w.rec)
 
 	if pos == host.whead {
-		host.warm[pos] = warmInst{} // release the dead entry's strings
 		host.whead++
 	} else {
 		copy(host.warm[pos:], host.warm[pos+1:])
 		host.warm = host.warm[:len(host.warm)-1]
 		for j := pos; j < len(host.warm); j++ {
 			s := &host.warm[j]
-			host.uidPos[s.uid] = j
+			e.warmRecs[s.rec].pos = j
 			host.wl[s.wid][s.wslot] = j
 		}
 	}
@@ -572,13 +618,10 @@ func (e *engine) warmRemove(h, i int) warmInst {
 		host.whead = 0
 	} else if host.whead >= 64 && host.whead*2 >= len(host.warm) {
 		live := copy(host.warm, host.warm[host.whead:])
-		for j := live; j < len(host.warm); j++ {
-			host.warm[j] = warmInst{}
-		}
 		host.warm = host.warm[:live]
 		for j := 0; j < live; j++ {
 			s := &host.warm[j]
-			host.uidPos[s.uid] = j
+			e.warmRecs[s.rec].pos = j
 			host.wl[s.wid][s.wslot] = j
 		}
 		host.whead = 0
@@ -590,8 +633,8 @@ func (e *engine) warmRemove(h, i int) warmInst {
 // neededPages is what admitting one more instance of workload w on host h
 // would charge right now: the full footprint for the first resident
 // instance, the private remainder when the shared base is already up.
-func (e *engine) neededPages(h int, w string) uint64 {
-	cost := e.costs[w]
+func (e *engine) neededPages(h, w int) uint64 {
+	cost := &e.costs[w]
 	if e.c.hosts[h].resident[w] > 0 {
 		return cost.FootprintPages - cost.SharedPages
 	}
@@ -600,7 +643,7 @@ func (e *engine) neededPages(h int, w string) uint64 {
 
 // chargePages admits one instance of workload w on host h, returning the
 // pages charged and tracking the cluster-wide sharing high-water mark.
-func (e *engine) chargePages(h int, w string) uint64 {
+func (e *engine) chargePages(h, w int) uint64 {
 	host := &e.c.hosts[h]
 	pages := e.neededPages(h, w)
 	if host.resident[w] > 0 {
@@ -618,9 +661,9 @@ func (e *engine) chargePages(h int, w string) uint64 {
 // plus — when it is the last resident — the shared base; a trimmed warm
 // instance holds only its base share, so dropping it releases nothing
 // until the last resident leaves and the base itself goes.
-func (e *engine) releasePages(h int, w string, trimmed bool) uint64 {
+func (e *engine) releasePages(h, w int, trimmed bool) uint64 {
 	host := &e.c.hosts[h]
-	cost := e.costs[w]
+	cost := &e.costs[w]
 	host.resident[w]--
 	private := cost.FootprintPages - cost.SharedPages
 	if trimmed {
@@ -651,33 +694,50 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 		return nil, err
 	}
 	restores0 := f.backend.Restores()
-	costs, err := f.measure(prefix.distinct(), stack)
+	measured, err := f.measure(prefix.distinct(), stack)
 	if err != nil {
 		return nil, err
-	}
-	for name, c := range costs {
-		if c.FootprintPages > f.hosts.MemPages {
-			return nil, fmt.Errorf("fleet: workload %s needs %d pages but hosts have %d",
-				name, c.FootprintPages, f.hosts.MemPages)
-		}
 	}
 	arrivals, err := f.arr.stream()
 	if err != nil {
 		return nil, err
 	}
+	// Costs by dense id; a workload of the mix that never arrives keeps a
+	// zero Cost nothing reads.
+	costs := make([]Cost, len(arrivals.names))
+	var snapshotBytes uint64
+	for i, name := range arrivals.names {
+		c, ok := measured[name]
+		if !ok {
+			continue
+		}
+		// A custom Backend's costs are checked before the engine's unsigned
+		// arithmetic relies on them.
+		switch {
+		case c.FootprintPages > f.hosts.MemPages:
+			return nil, fmt.Errorf("fleet: workload %s needs %d pages but hosts have %d",
+				name, c.FootprintPages, f.hosts.MemPages)
+		case c.SetupCycles > c.RunCycles:
+			return nil, fmt.Errorf("fleet: workload %s skips %d setup cycles of a %d-cycle run on a warm start",
+				name, c.SetupCycles, c.RunCycles)
+		case c.SharedPages > c.FootprintPages:
+			return nil, fmt.Errorf("fleet: workload %s shares %d pages of a %d-page footprint",
+				name, c.SharedPages, c.FootprintPages)
+		}
+		costs[i] = c
+		snapshotBytes += c.SnapshotBytes
+	}
 
-	e := newEngine(f.hosts, f.perCore, costs)
+	e := newEngine(f.hosts, f.perCore, arrivals.names, costs)
 	e.f, e.stack, e.selfCheck, e.c.naive = f, stack, f.selfCheck, f.naive
 	e.res = &Result{
-		Policy:  f.policy.Name(),
-		Stack:   stack,
-		Pattern: f.arr.Pattern.String(),
-		Hosts:   f.hosts,
+		Policy:        f.policy.Name(),
+		Stack:         stack,
+		Pattern:       f.arr.Pattern.String(),
+		Hosts:         f.hosts,
+		SnapshotBytes: snapshotBytes,
 		// Every invocation completes exactly once.
 		Latencies: make([]uint64, 0, f.arr.N),
-	}
-	for name := range costs {
-		e.res.SnapshotBytes += costs[name].SnapshotBytes
 	}
 	if err := e.loop(arrivals); err != nil {
 		return nil, err
@@ -685,7 +745,7 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 	if e.pending.len() > 0 {
 		head := e.pending.front()
 		return nil, fmt.Errorf("fleet: %d invocations unschedulable under policy %s (head: %s needing %d pages)",
-			e.pending.len(), f.policy.Name(), head.Workload, costs[head.Workload].FootprintPages)
+			e.pending.len(), f.policy.Name(), head.Workload, costs[head.id()].FootprintPages)
 	}
 	e.finishResult()
 	e.res.SnapshotRestores = f.backend.Restores() - restores0
@@ -693,10 +753,11 @@ func (f *Fleet) Run(stack machine.Stack) (*Result, error) {
 }
 
 // newEngine builds the engine state over an empty cluster of the given
-// hosts for the workloads priced in costs. Each host's wl index gets one
-// slot per workload up front: interned ids only ever name workloads that
-// arrive, and every arriving workload has a cost.
-func newEngine(hosts Hosts, perCore int, costs map[string]Cost) *engine {
+// hosts for the workloads names, whose dense ids index costs. Each host's
+// wl and resident indexes get one slot per workload up front, from one
+// shared array each.
+func newEngine(hosts Hosts, perCore int, names []string, costs []Cost) *engine {
+	nw := len(names)
 	e := &engine{
 		costs: costs,
 		c: Cluster{
@@ -705,17 +766,22 @@ func newEngine(hosts Hosts, perCore int, costs map[string]Cost) *engine {
 			memPages: hosts.MemPages,
 			hosts:    make([]hostState, hosts.Count),
 			ll:       newLLTree(hosts.Count),
-			wids:     make(map[string]int, len(costs)),
+			warmIdx:  make([]*warmHeap, nw),
+			names:    names,
+			wids:     make(map[string]int, nw),
 		},
 	}
-	nw := len(costs)
+	for id, name := range names {
+		e.c.wids[name] = id
+		e.c.warmIdx[id] = newWarmHeap(hosts.Count)
+	}
 	wl := make([][]int, hosts.Count*nw)
+	resident := make([]int32, hosts.Count*nw)
 	for i := range e.c.hosts {
 		host := &e.c.hosts[i]
 		host.slots = make([]int, hosts.Cores)
-		host.resident = make(map[string]int)
-		host.uidPos = make(map[int]int)
 		host.wl = wl[i*nw : (i+1)*nw : (i+1)*nw]
+		host.resident = resident[i*nw : (i+1)*nw : (i+1)*nw]
 		e.c.ll.update(i, 0, hosts.MemPages, true)
 	}
 	return e
@@ -845,17 +911,19 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 	if e.c.FreeSlots(h) == 0 {
 		return false, nil
 	}
-	cost := e.costs[inv.Workload]
+	wid := inv.id()
+	cost := &e.costs[wid]
 
 	// Consume the freshest matching warm instance, if any.
-	warmIdx := e.c.WarmFreshest(h, inv.Workload)
+	warmIdx := e.c.warmFreshest(h, wid)
 	warm := warmIdx >= 0
 	if warm && host.warm[host.whead+warmIdx].trimmed {
 		// A trimmed instance dropped its private pages when it went idle;
 		// the delta restore copies them back, so re-charge them (evicting
 		// under pressure like a cold placement would). Track the target by
-		// uid: evictions may shift its pool index.
-		targetUID := host.warm[host.whead+warmIdx].uid
+		// its record: evictions may shift its pool index.
+		rec := host.warm[host.whead+warmIdx].rec
+		targetUID := e.warmRecs[rec].uid
 		private := cost.FootprintPages - cost.SharedPages
 		for e.c.FreePages(h) < private {
 			v := e.f.policy.Victim(&e.c, h)
@@ -867,7 +935,7 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 					e.f.policy.Name(), v, e.c.WarmCount(h), h)
 			}
 			e.evict(h, v, "pressure")
-			if _, ok := host.uidPos[targetUID]; !ok {
+			if e.warmRecs[rec].uid != targetUID {
 				// The policy evicted the very instance we were about to
 				// hit; fall back to a cold placement.
 				warm = false
@@ -875,7 +943,7 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 			}
 		}
 		if warm {
-			warmIdx = host.uidPos[targetUID] - host.whead
+			warmIdx = e.warmRecs[rec].pos - host.whead
 			e.setUsed(h, int64(private))
 			e.memDelta(int64(private))
 		}
@@ -886,7 +954,7 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 		// measured delta-restore bytes.
 		e.res.RestoreBytes += cost.RestoreBytes
 	} else {
-		for e.c.FreePages(h) < e.neededPages(h, inv.Workload) {
+		for e.c.FreePages(h) < e.neededPages(h, wid) {
 			v := e.f.policy.Victim(&e.c, h)
 			if v == -1 {
 				return false, nil
@@ -897,7 +965,7 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 			}
 			e.evict(h, v, "pressure")
 		}
-		pages := e.chargePages(h, inv.Workload)
+		pages := e.chargePages(h, wid)
 		e.setUsed(h, int64(pages))
 		e.memDelta(int64(pages))
 	}
@@ -914,9 +982,11 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 	k := host.slots[slot]
 
 	var base uint64
+	class := 2 * wid
 	if warm {
 		base = cost.WarmLatency()
 		e.res.WarmHits++
+		class++
 	} else {
 		base = cost.ColdLatency()
 		e.res.ColdStarts++
@@ -927,8 +997,11 @@ func (e *engine) tryPlace(inv Invocation) (bool, error) {
 		// dispatch and pays the Sched-calibrated context-switch surcharge.
 		service = base*uint64(k) + cost.CtxSwitchCycles
 	}
+	// The delay class fixes service, so each class's completions arrive in
+	// time order and ride their own lane.
+	lane := expiryLane + 1 + class*e.c.perCore + k - 1
 	e.events.push(e.c.now+service, event{kind: evCompletion,
-		inv: inv, host: int32(h), slot: int32(slot), warm: warm, ded: e.c.now}, false)
+		inv: inv, host: int32(h), slot: int32(slot), warm: warm, ded: e.c.now}, lane)
 	return true, nil
 }
 
@@ -948,15 +1021,16 @@ func (e *engine) complete(ev *event) error {
 		})
 	}
 
-	cost := e.costs[ev.inv.Workload]
+	wid := ev.inv.id()
+	cost := &e.costs[wid]
 	ttl := e.f.policy.KeepWarmTTL(&e.c, ev.inv)
 	if ttl == 0 {
-		pages := e.releasePages(h, ev.inv.Workload, false)
+		pages := e.releasePages(h, wid, false)
 		e.setUsed(h, -int64(pages))
 		e.memDelta(-int64(pages))
 	} else {
 		w := warmInst{
-			uid: e.uid, workload: ev.inv.Workload, pages: cost.FootprintPages,
+			wid: int32(wid), pages: cost.FootprintPages,
 			idleSince: e.c.now, expireAt: NoExpiry,
 		}
 		if cost.SharedPages > 0 {
@@ -972,28 +1046,29 @@ func (e *engine) complete(ev *event) error {
 			w.pages = cost.SharedPages
 			w.trimmed = true
 		}
-		e.uid++
+		if ttl != NoExpiry {
+			w.expireAt = e.c.now + ttl
+		}
+		rec, uid := e.warmAdd(h, w)
 		if ttl != NoExpiry {
 			// Deadlines under a fixed TTL arrive in time order and ride
-			// the queue's FIFO lane.
-			w.expireAt = e.c.now + ttl
-			e.events.push(w.expireAt, event{kind: evExpiry, host: ev.host, uid: w.uid}, true)
+			// the expiry lane.
+			e.events.push(w.expireAt, event{kind: evExpiry, host: ev.host, uid: uid, slot: rec}, expiryLane)
 		}
-		e.warmAdd(h, w)
 	}
 	return e.drainPending()
 }
 
 // expire drops a warm instance whose keep-alive deadline passed, unless a
-// warm hit already consumed it. The uid map makes the lookup O(1).
+// warm hit or an eviction already took it, which leaves its record freed
+// or holding another uid. The record makes the lookup O(1).
 func (e *engine) expire(ev *event) error {
-	h := int(ev.host)
-	host := &e.c.hosts[h]
-	pos, ok := host.uidPos[ev.uid]
-	if !ok {
+	r := e.warmRecs[ev.slot]
+	if r.uid != ev.uid {
 		return nil
 	}
-	e.evict(h, pos-host.whead, "ttl")
+	h := int(ev.host)
+	e.evict(h, r.pos-e.c.hosts[h].whead, "ttl")
 	return e.drainPending()
 }
 
@@ -1017,10 +1092,10 @@ func (e *engine) drainPending() error {
 // and a sibling keeping the base resident makes any eviction cheaper.
 func (e *engine) evict(h, i int, reason string) {
 	w := e.warmRemove(h, i)
-	pages := e.releasePages(h, w.workload, w.trimmed)
+	pages := e.releasePages(h, int(w.wid), w.trimmed)
 	e.setUsed(h, -int64(pages))
 	e.memDelta(-int64(pages))
-	evn := Eviction{Time: e.c.now, Host: h, Workload: w.workload, Pages: pages, Reason: reason}
+	evn := Eviction{Time: e.c.now, Host: h, Workload: e.c.names[w.wid], Pages: pages, Reason: reason}
 	e.res.Evictions = append(e.res.Evictions, evn)
 	if e.f.probe != nil {
 		e.f.probe.Eviction(evn)

@@ -339,3 +339,85 @@ func TestBackendCostsAreCachedAcrossRuns(t *testing.T) {
 		t.Fatal("cached costs changed the schedule between identical runs")
 	}
 }
+
+// TestInconsistentCostIsAnError: a custom Backend whose warm start skips
+// more setup than the run holds would make WarmLatency wrap around and
+// complete invocations in the past; one whose shared base exceeds the
+// footprint would make the private remainder wrap and over-count memory.
+// Run rejects both before scheduling, naming the workload.
+func TestInconsistentCostIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cost Cost
+		want string
+	}{
+		{"setup beyond run", Cost{RunCycles: 1_000_000, SetupCycles: 2_000_000, FootprintPages: 500}, "setup cycles"},
+		{"shared beyond footprint", Cost{RunCycles: 1_000_000, FootprintPages: 500, SharedPages: 600}, "shares"},
+	} {
+		arr := Poisson(50, 1_000_000, 1)
+		arr.Workloads = []string{"aes"}
+		_, err := New(config.Default(),
+			WithArrivals(arr),
+			WithHosts(Hosts{Count: 2, Cores: 2, MemPages: 1000}),
+			WithPolicy(LRU()),
+			WithBackend(&StaticBackend{Default: tc.cost}),
+		).Run(machine.Memento)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "aes") {
+			t.Errorf("%s: want an error naming aes and %q, got %v", tc.name, tc.want, err)
+		}
+	}
+}
+
+// nameOnlyLRU is LRU reached through Invocations rebuilt from their
+// exported fields, which drops the dense workload id the arrival stream
+// attaches, so every placement resolves the workload by name.
+type nameOnlyLRU struct{ rebuilt *int }
+
+func exportedOnly(inv Invocation) Invocation {
+	return Invocation{ID: inv.ID, Workload: inv.Workload, Arrival: inv.Arrival}
+}
+
+func (nameOnlyLRU) Name() string { return LRU().Name() }
+func (p nameOnlyLRU) Place(c *Cluster, inv Invocation) int {
+	if inv.id() >= 0 {
+		*p.rebuilt++
+	}
+	return PlaceWarmFirst(c, exportedOnly(inv))
+}
+func (nameOnlyLRU) KeepWarmTTL(c *Cluster, inv Invocation) uint64 {
+	return LRU().KeepWarmTTL(c, exportedOnly(inv))
+}
+func (nameOnlyLRU) Victim(c *Cluster, h int) int { return VictimLRU(c, h) }
+
+// TestIDFallbackMatchesLRU: a policy that hands PlaceWarmFirst
+// Invocations without their dense ids must schedule exactly like LRU over
+// the Conformance scenarios, and pass Conformance itself. An id that no
+// longer matches a rewritten Workload is not trusted either.
+func TestIDFallbackMatchesLRU(t *testing.T) {
+	rebuilt := 0
+	mk := func() Policy { return nameOnlyLRU{rebuilt: &rebuilt} }
+	if err := Conformance(mk); err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range conformanceScenarios() {
+		runWith := func(p Policy) *Result {
+			return run(t, machine.Memento, WithArrivals(sc.arr), WithHosts(sc.hosts),
+				WithPolicy(p), WithBackend(conformanceCost()))
+		}
+		if got, want := runWith(mk()), runWith(LRU()); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: name-resolved placements diverge from LRU", sc.label)
+		}
+	}
+	if rebuilt == 0 {
+		t.Fatal("the engine handed the policy no Invocation carrying an id")
+	}
+
+	e := newIndexEngine(1, 1, 1, 100, []string{"wa", "wb"})
+	inv := Invocation{Workload: "wb", wid: 1} // the id of wa
+	if got := e.c.idOf(inv); got != 1 {
+		t.Fatalf("idOf trusted a stale id: got %d, want 1", got)
+	}
+	if got := e.c.idOf(Invocation{Workload: "wc"}); got != -1 {
+		t.Fatalf("idOf(unknown workload) = %d, want -1", got)
+	}
+}

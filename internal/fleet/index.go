@@ -4,44 +4,10 @@ package fleet
 // engine spent O(hosts x warm instances) on every arrival; these
 // structures answer the same queries in O(1)-O(log N) and are maintained
 // on each engine mutation. Determinism is the contract: every tie-break
-// reproduces the corresponding linear scan exactly (the trees break equal
-// keys toward the lower host index, the first maximum a low-to-high scan
-// keeps), which reference.go checks differentially.
-
-// tree8 is the shape the tournament trees share: an 8-ary tree over n
-// leaves, stored level by level from the leaves up in one slice with no
-// padding. Level 0 holds the n leaves (leaf h is host h) and each level
-// above holds ceil(width/8) nodes, so a node's eight 16-byte children sit
-// side by side in 128 bytes and a 10k-host update walks 5 levels instead
-// of a binary tree's 14.
-//
-// A node holds the winner of its subtree under a total order that ends in
-// the lower host index, which is what a low-to-high scan keeping the
-// first best returns. An update replaces one leaf and walks up, knowing
-// at each level the child's old and new winner: a new winner that beats
-// the parent's takes its place; a parent whose winner came from another
-// child keeps it; only when the parent's own winner got worse are its
-// children rescanned, left to right. The walk stops as soon as a parent
-// comes out unchanged, because every ancestor above it was computed from
-// that same value.
-type tree8 struct {
-	off []int // level l spans nodes[off[l]:off[l+1]]; the root is at off[len(off)-2]
-}
-
-func newTree8(n int) tree8 {
-	off := []int{0, n}
-	for w := n; w > 1; {
-		w = (w + 7) / 8
-		off = append(off, off[len(off)-1]+w)
-	}
-	return tree8{off: off}
-}
-
-// size is the node count over all levels.
-func (t tree8) size() int { return t.off[len(t.off)-1] }
-
-// root is the root node's position.
-func (t tree8) root() int { return t.off[len(t.off)-2] }
+// reproduces the corresponding linear scan exactly (the least-loaded tree
+// and the warm heaps break equal keys toward the lower host index, the
+// first best a low-to-high scan keeps), which reference.go checks
+// differentially.
 
 // llNode is one node of the least-loaded tournament tree: the best
 // placement candidate in the node's host range, or host == -1 when no
@@ -67,16 +33,35 @@ func llBeats(a, b llNode) bool {
 	return a.free > b.free || (a.free == b.free && a.host < b.host)
 }
 
-// llTree indexes hosts for PlaceLeastLoaded; see tree8 for the update
-// rule. The best host is read off the root in O(1).
+// llTree indexes hosts for PlaceLeastLoaded. It is an 8-ary tournament
+// tree over the hosts, stored level by level from the leaves up in one
+// slice with no padding. Level 0 holds the leaves (leaf h is host h) and
+// each level above holds ceil(width/8) nodes, so a node's eight 16-byte
+// children sit side by side in 128 bytes and a 10k-host update walks 5
+// levels instead of a binary tree's 14. The best host is read off the
+// root in O(1).
+//
+// A node holds the winner of its subtree under llBeats, a total order
+// that ends in the lower host index, which is what a low-to-high scan
+// keeping the first best returns. An update replaces one leaf and walks
+// up, knowing at each level the child's old and new winner: a new winner
+// that beats the parent's takes its place; a parent whose winner came from
+// another child keeps it; only when the parent's own winner got worse are
+// its children rescanned, left to right. The walk stops as soon as a
+// parent comes out unchanged, because every ancestor above it was computed
+// from that same value.
 type llTree struct {
-	tree8
+	off   []int // level l spans nodes[off[l]:off[l+1]]; the root is at off[len(off)-2]
 	nodes []llNode
 }
 
 func newLLTree(hosts int) *llTree {
-	t := &llTree{tree8: newTree8(hosts)}
-	t.nodes = make([]llNode, t.size())
+	t := &llTree{off: []int{0, hosts}}
+	for w := hosts; w > 1; {
+		w = (w + 7) / 8
+		t.off = append(t.off, t.off[len(t.off)-1]+w)
+	}
+	t.nodes = make([]llNode, t.off[len(t.off)-1])
 	for i := range t.nodes {
 		t.nodes[i].host = -1
 	}
@@ -119,75 +104,120 @@ func (t *llTree) update(h int, running int, free uint64, eligible bool) {
 }
 
 // best returns the host PlaceLeastLoaded would choose, or -1.
-func (t *llTree) best() int { return int(t.nodes[t.root()].host) }
+func (t *llTree) best() int { return int(t.nodes[t.off[len(t.off)-2]].host) }
 
-// warmNode is one node of a per-workload warm tournament tree: the host
-// in range holding the freshest idle warm instance of the workload while
-// also having a free core slot.
+// warmNode is one entry of a per-workload warm heap: a host holding an
+// idle warm instance of the workload while also having a free core slot,
+// keyed by that host's freshest instance.
 type warmNode struct {
 	idle uint64
-	host int32 // -1 = none eligible in this subtree
+	host int32
 }
 
 // warmBeats reports whether a wins over b: the strictly fresher instance,
-// then the lower host index — PlaceWarmFirst's scan order. An ineligible
-// node never wins.
+// then the lower host index — PlaceWarmFirst's scan order. Hosts are
+// unique, so this is a total order over a heap's entries.
 func warmBeats(a, b warmNode) bool {
-	return a.host >= 0 && (b.host < 0 || a.idle > b.idle || (a.idle == b.idle && a.host < b.host))
+	return a.idle > b.idle || (a.idle == b.idle && a.host < b.host)
 }
 
-// warmTree indexes, for one workload, each host's freshest idle warm
-// instance (hosts without a free slot are ineligible, exactly like the
-// PlaceWarmFirst scan skips them). One tree exists per workload that has
-// ever gone warm; they are created lazily. See tree8 for the update rule.
-type warmTree struct {
-	tree8
+// warmHeap indexes, for one workload, each eligible host's freshest idle
+// warm instance (hosts without a free slot are ineligible, exactly like
+// the PlaceWarmFirst scan skips them). It is an indexed binary max-heap
+// under warmBeats holding only the eligible hosts, so it is sized to the
+// workload's warm pool rather than the cluster: its unique maximum is the
+// scan's answer, and an update is O(log entries). pos inverts the heap.
+type warmHeap struct {
 	nodes []warmNode
+	pos   []int32 // host -> index in nodes, -1 when the host is absent
 }
 
-func newWarmTree(hosts int) *warmTree {
-	t := &warmTree{tree8: newTree8(hosts)}
-	t.nodes = make([]warmNode, t.size())
-	for i := range t.nodes {
-		t.nodes[i].host = -1
+func newWarmHeap(hosts int) *warmHeap {
+	t := &warmHeap{pos: make([]int32, hosts)}
+	for i := range t.pos {
+		t.pos[i] = -1
 	}
 	return t
 }
 
-func (t *warmTree) update(h int, idle uint64, eligible bool) {
-	n := warmNode{host: -1}
-	if eligible {
-		n = warmNode{idle: idle, host: int32(h)}
-	}
-	old := t.nodes[h]
-	if old == n {
-		return
-	}
-	t.nodes[h] = n
-	for l, i := 1, h; l < len(t.off)-1; l++ {
-		i >>= 3
-		p := &t.nodes[t.off[l]+i]
-		switch w := *p; {
-		case warmBeats(n, w):
-		case w.host != old.host:
-			return
-		default:
-			lo := t.off[l-1] + i<<3
-			n = warmNode{host: -1}
-			for _, c := range t.nodes[lo:min(lo+8, t.off[l])] {
-				if warmBeats(c, n) {
-					n = c
-				}
-			}
+// update re-keys host h: its freshest idle time when eligible, absent
+// otherwise.
+func (t *warmHeap) update(h int, idle uint64, eligible bool) {
+	i := int(t.pos[h])
+	switch {
+	case !eligible:
+		if i >= 0 {
+			t.remove(i)
 		}
-		if old = *p; old == n {
-			return
-		}
-		*p = n
+	case i < 0:
+		t.nodes = append(t.nodes, warmNode{idle: idle, host: int32(h)})
+		t.up(len(t.nodes) - 1)
+	case idle > t.nodes[i].idle:
+		t.nodes[i].idle = idle
+		t.up(i)
+	case idle < t.nodes[i].idle:
+		t.nodes[i].idle = idle
+		t.down(i)
 	}
 }
 
-func (t *warmTree) best() int { return int(t.nodes[t.root()].host) }
+// remove drops the entry at index i, filling the hole with the last one.
+func (t *warmHeap) remove(i int) {
+	t.pos[t.nodes[i].host] = -1
+	last := len(t.nodes) - 1
+	t.nodes[i] = t.nodes[last]
+	t.nodes = t.nodes[:last]
+	if i < last {
+		t.down(i)
+		t.up(i)
+	}
+}
+
+// up moves the entry at i toward the root while it beats its parent.
+func (t *warmHeap) up(i int) {
+	n := t.nodes[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !warmBeats(n, t.nodes[p]) {
+			break
+		}
+		t.nodes[i] = t.nodes[p]
+		t.pos[t.nodes[i].host] = int32(i)
+		i = p
+	}
+	t.nodes[i] = n
+	t.pos[n.host] = int32(i)
+}
+
+// down moves the entry at i toward the leaves while a child beats it.
+func (t *warmHeap) down(i int) {
+	n := t.nodes[i]
+	for {
+		c := 2*i + 1
+		if c >= len(t.nodes) {
+			break
+		}
+		if c+1 < len(t.nodes) && warmBeats(t.nodes[c+1], t.nodes[c]) {
+			c++
+		}
+		if !warmBeats(t.nodes[c], n) {
+			break
+		}
+		t.nodes[i] = t.nodes[c]
+		t.pos[t.nodes[i].host] = int32(i)
+		i = c
+	}
+	t.nodes[i] = n
+	t.pos[n.host] = int32(i)
+}
+
+// best returns the host PlaceWarmFirst's warm scan would choose, or -1.
+func (t *warmHeap) best() int {
+	if len(t.nodes) == 0 {
+		return -1
+	}
+	return int(t.nodes[0].host)
+}
 
 // pendingRing is the FIFO queue of invocations awaiting capacity, as a
 // head-indexed ring: pops advance the head instead of reslicing, so the
@@ -225,12 +255,14 @@ func (q *pendingRing) pop() {
 }
 
 // evKey is an event queue entry: the (time, seq) order the engine
-// processes events in, plus the slab slot holding the event's payload.
-// At 24 bytes it is what the heap moves, never the payload itself.
+// processes events in, plus the slab slot holding the event's payload and
+// the lane the key was pushed to. At 24 bytes it is what the queue moves,
+// never the payload itself.
 type evKey struct {
 	time uint64
 	seq  uint64
 	slot int32
+	lane int32
 }
 
 // before orders keys by time, then by push order. seq is unique, so this
@@ -239,26 +271,102 @@ func (a evKey) before(b evKey) bool {
 	return a.time < b.time || (a.time == b.time && a.seq < b.seq)
 }
 
+// keyHeap is a binary min-heap of keys under before. Sifts move the
+// displaced keys into a hole instead of swapping.
+type keyHeap []evKey
+
+func (h *keyHeap) push(k evKey) {
+	s := append(*h, k)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.before(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = k
+	*h = s
+}
+
+// replaceTop puts k in place of the minimum and sifts it down.
+func (h keyHeap) replaceTop(k evKey) {
+	i, n := 0, len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(k) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = k
+}
+
+// pop removes the minimum.
+func (h *keyHeap) pop() {
+	s := *h
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	if n > 0 {
+		s.replaceTop(last)
+	}
+	*h = s
+}
+
+// keyRing is one lane: a FIFO ring of keys pushed in (time, seq) order.
+type keyRing struct {
+	buf  []evKey // length 0 or a power of two
+	head int
+	n    int
+}
+
+func (r *keyRing) tail() evKey { return r.buf[(r.head+r.n-1)&(len(r.buf)-1)] }
+
+func (r *keyRing) push(k evKey) {
+	if r.n == len(r.buf) {
+		// Double the ring, unrolling it to start at index 0.
+		buf := make([]evKey, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = k
+	r.n++
+}
+
 // eventQueue holds the pending completions and expiries. Payloads live in
-// a slab with a free list; keys are ordered by two structures whose
+// a slab with a free list; keys are ordered by three structures whose
 // minimum is the next event:
 //
-//   - a FIFO lane, a ring of keys that arrived in order. A push flagged
-//     fifo (keep-alive deadlines) is appended here when it does not sort
-//     below the lane's tail. Under a fixed TTL every deadline is now plus
-//     the same constant and the clock never goes back, so expiries never
-//     touch the heap.
-//   - a binary min-heap over keys for everything else, including a fifo
-//     push that arrives out of order (a policy whose TTL varies). Sifts
-//     move the displaced keys into a hole instead of swapping.
+//   - lanes, one FIFO ring of keys per delay class. A completion's delay is
+//     fixed by its workload, warm or cold, and co-residency degree, and a
+//     fixed keep-alive TTL fixes an expiry's; the clock never goes back, so
+//     each class's keys arrive in (time, seq) order. A push is appended to
+//     its lane when it does not sort below the lane's tail.
+//   - heads, a min-heap over the head keys of the non-empty lanes: the
+//     earliest lane key is its root, and a pop re-keys it with the lane's
+//     next key. It holds one key per class, so it stays a few levels deep
+//     however many events are pending.
+//   - heap, a binary min-heap over every key that arrived out of order in
+//     its lane (a policy whose TTL varies).
 //
 // container/heap would box every event through an interface value, one
 // allocation per push, so the queue is hand-rolled.
 type eventQueue struct {
-	heap  []evKey
-	lane  []evKey // ring buffer, length 0 or a power of two
-	lhead int     // lane's first key
-	llen  int     // lane's key count
+	heap  keyHeap
+	heads keyHeap
+	lanes []keyRing // by lane index, grown on first use
+	nlane int       // keys held in lanes
 	// slab holds the payloads by slot. A popped event's slot is not reused
 	// until release, so the handler may keep reading it through a pointer
 	// while it pushes: if a push grows the slab, the pointer still refers
@@ -268,11 +376,12 @@ type eventQueue struct {
 	seq  uint64
 }
 
-func (q *eventQueue) len() int { return len(q.heap) + q.llen }
+func (q *eventQueue) len() int { return len(q.heap) + q.nlane }
 
 // push schedules ev at time t, ordered after every earlier push at the
-// same time. fifo marks a key the caller expects to arrive in time order.
-func (q *eventQueue) push(t uint64, ev event, fifo bool) {
+// same time. lane names the key's delay class; a key that sorts below its
+// lane's tail goes to the heap instead.
+func (q *eventQueue) push(t uint64, ev event, lane int) {
 	var slot int32
 	if n := len(q.free); n > 0 {
 		slot = q.free[n-1]
@@ -282,42 +391,27 @@ func (q *eventQueue) push(t uint64, ev event, fifo bool) {
 		slot = int32(len(q.slab))
 		q.slab = append(q.slab, ev)
 	}
-	k := evKey{time: t, seq: q.seq, slot: slot}
+	k := evKey{time: t, seq: q.seq, slot: slot, lane: int32(lane)}
 	q.seq++
-	if fifo && (q.llen == 0 || q.lane[(q.lhead+q.llen-1)&(len(q.lane)-1)].time <= t) {
-		if q.llen == len(q.lane) {
-			q.growLane()
-		}
-		q.lane[(q.lhead+q.llen)&(len(q.lane)-1)] = k
-		q.llen++
+	if lane >= len(q.lanes) {
+		q.lanes = append(q.lanes, make([]keyRing, lane+1-len(q.lanes))...)
+	}
+	r := &q.lanes[lane]
+	switch {
+	case r.n == 0:
+		q.heads.push(k)
+	case r.tail().time > t:
+		q.heap.push(k)
 		return
 	}
-	h := append(q.heap, k)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !k.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = k
-	q.heap = h
+	r.push(k)
+	q.nlane++
 }
 
-// growLane doubles the lane ring, unrolling it to start at index 0.
-func (q *eventQueue) growLane() {
-	buf := make([]evKey, max(64, 2*len(q.lane)))
-	for i := 0; i < q.llen; i++ {
-		buf[i] = q.lane[(q.lhead+i)&(len(q.lane)-1)]
-	}
-	q.lane, q.lhead = buf, 0
-}
-
-// laneFirst reports whether the lane head is the earliest pending key.
+// laneFirst reports whether the earliest lane head is the earliest pending
+// key.
 func (q *eventQueue) laneFirst() bool {
-	return q.llen > 0 && (len(q.heap) == 0 || q.lane[q.lhead].before(q.heap[0]))
+	return len(q.heads) > 0 && (len(q.heap) == 0 || q.heads[0].before(q.heap[0]))
 }
 
 // peek returns the earliest pending key; ok is false when the queue is
@@ -325,7 +419,7 @@ func (q *eventQueue) laneFirst() bool {
 func (q *eventQueue) peek() (k evKey, ok bool) {
 	switch {
 	case q.laneFirst():
-		return q.lane[q.lhead], true
+		return q.heads[0], true
 	case len(q.heap) > 0:
 		return q.heap[0], true
 	}
@@ -335,38 +429,22 @@ func (q *eventQueue) peek() (k evKey, ok bool) {
 // pop removes the earliest pending key and returns it. The payload stays
 // in q.slab[k.slot] until the caller releases the slot.
 func (q *eventQueue) pop() evKey {
-	if q.laneFirst() {
-		k := q.lane[q.lhead]
-		q.lhead = (q.lhead + 1) & (len(q.lane) - 1)
-		q.llen--
+	if !q.laneFirst() {
+		k := q.heap[0]
+		q.heap.pop()
 		return k
 	}
-	h := q.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	q.heap = h
-	if n == 0 {
-		return top
+	k := q.heads[0]
+	r := &q.lanes[k.lane]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	q.nlane--
+	if r.n > 0 {
+		q.heads.replaceTop(r.buf[r.head])
+	} else {
+		q.heads.pop()
 	}
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1].before(h[c]) {
-			c++
-		}
-		if !h[c].before(last) {
-			break
-		}
-		h[i] = h[c]
-		i = c
-	}
-	h[i] = last
-	return top
+	return k
 }
 
 // release returns a handled event's slot to the free list.

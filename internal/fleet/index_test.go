@@ -14,11 +14,11 @@ import (
 // warmRemove, setRunning, setUsed) directly and cross-check the indexes
 // against the reference scans on arbitrary states.
 func newIndexEngine(hosts, cores, perCore int, memPages uint64, workloads []string) *engine {
-	costs := make(map[string]Cost, len(workloads))
-	for _, w := range workloads {
-		costs[w] = Cost{RunCycles: 1, FootprintPages: 10}
+	costs := make([]Cost, len(workloads))
+	for i := range costs {
+		costs[i] = Cost{RunCycles: 1, FootprintPages: 10}
 	}
-	e := newEngine(Hosts{Count: hosts, Cores: cores, MemPages: memPages}, perCore, costs)
+	e := newEngine(Hosts{Count: hosts, Cores: cores, MemPages: memPages}, perCore, workloads, costs)
 	e.res = &Result{}
 	return e
 }
@@ -41,7 +41,6 @@ func TestIndexedAccessorsDifferential(t *testing.T) {
 		memPages := uint64(1000)
 		e := newIndexEngine(hosts, cores, perCore, memPages, workloads)
 		clock := uint64(0)
-		uid := 0
 		for step := 0; step < 50; step++ {
 			h := rng.Intn(hosts)
 			host := &e.c.hosts[h]
@@ -52,10 +51,8 @@ func TestIndexedAccessorsDifferential(t *testing.T) {
 				}
 				e.c.now = clock
 				e.warmAdd(h, warmInst{
-					uid: uid, workload: workloads[rng.Intn(len(workloads))],
-					pages: 10, idleSince: clock, expireAt: NoExpiry,
+					wid: int32(rng.Intn(len(workloads))), pages: 10, idleSince: clock, expireAt: NoExpiry,
 				})
-				uid++
 			case 2: // consume or evict a random pool entry
 				if n := e.c.WarmCount(h); n > 0 {
 					e.warmRemove(h, rng.Intn(n))
@@ -89,16 +86,14 @@ func TestIndexedAccessorsDifferential(t *testing.T) {
 // after every mutation.
 func TestWarmRingHeadCompaction(t *testing.T) {
 	e := newIndexEngine(1, 4, 1, 1_000_000, []string{"wa", "wb"})
-	uid := 0
-	add := func(w string, idle uint64) {
+	add := func(w int32, idle uint64) {
 		e.c.now = idle
-		e.warmAdd(0, warmInst{uid: uid, workload: w, pages: 1, idleSince: idle, expireAt: NoExpiry})
-		uid++
+		e.warmAdd(0, warmInst{wid: w, pages: 1, idleSince: idle, expireAt: NoExpiry})
 	}
 	for i := 0; i < 300; i++ {
-		w := "wa"
+		w := int32(0)
 		if i%3 == 0 {
-			w = "wb"
+			w = 1
 		}
 		add(w, uint64(i/2)) // every other pair ties on idleSince
 	}
@@ -261,14 +256,16 @@ func TestWithoutLatencies(t *testing.T) {
 	}
 }
 
-// TestTreesAgainstScans checks the 8-ary tournament trees against linear
-// scans at host counts around the fan-out's edges (a lone leaf, one
-// partial node, exactly one full node, one past it) and at scale. Keys are
-// drawn from tiny ranges so running counts, free pages and idle times tie
-// constantly, and eligibility flips often. After every update best() must
-// equal the scan, and every internal node must equal its children's
-// winner by a plain left-to-right scan: the early exits never leave an
-// ancestor stale.
+// TestTreesAgainstScans checks the least-loaded 8-ary tournament tree and
+// a warm heap against linear scans at host counts around the tree's
+// fan-out edges (a lone leaf, one partial node, exactly one full node, one
+// past it) and at scale. Keys are drawn from tiny ranges so running
+// counts, free pages and idle times tie constantly, and eligibility flips
+// often. After every update best() must equal the scan. Every internal
+// tree node must equal its children's winner by a plain left-to-right
+// scan, so the early exits never leave an ancestor stale; the heap must
+// hold exactly the eligible hosts, every parent must beat its children,
+// and pos must invert it.
 func TestTreesAgainstScans(t *testing.T) {
 	type llLeaf struct {
 		running  int
@@ -281,7 +278,7 @@ func TestTreesAgainstScans(t *testing.T) {
 	}
 	for _, hosts := range []int{1, 7, 8, 9, 64, 1000, 10000} {
 		rng := rand.New(rand.NewSource(int64(hosts)))
-		ll, warm := newLLTree(hosts), newWarmTree(hosts)
+		ll, warm := newLLTree(hosts), newWarmHeap(hosts)
 		lls, warms := make([]llLeaf, hosts), make([]warmLeaf, hosts)
 		for h := range lls {
 			lls[h] = llLeaf{free: 100, eligible: true}
@@ -308,45 +305,74 @@ func TestTreesAgainstScans(t *testing.T) {
 			if got := ll.best(); got != wantLL {
 				t.Fatalf("%d hosts, step %d: llTree best = %d, scan = %d", hosts, step, got, wantLL)
 			}
-			wantWarm := -1
+			wantWarm, eligible := -1, 0
 			for i, w := range warms {
-				if w.eligible && (wantWarm < 0 || w.idle > warms[wantWarm].idle) {
-					wantWarm = i
+				if w.eligible {
+					eligible++
+					if wantWarm < 0 || w.idle > warms[wantWarm].idle {
+						wantWarm = i
+					}
 				}
 			}
 			if got := warm.best(); got != wantWarm {
-				t.Fatalf("%d hosts, step %d: warmTree best = %d, scan = %d", hosts, step, got, wantWarm)
+				t.Fatalf("%d hosts, step %d: warmHeap best = %d, scan = %d", hosts, step, got, wantWarm)
+			}
+			if len(warm.nodes) != eligible {
+				t.Fatalf("%d hosts, step %d: warm heap holds %d hosts, %d eligible", hosts, step, len(warm.nodes), eligible)
 			}
 			if step%100 == 0 || hosts <= 64 {
-				checkTree8(t, ll.tree8, ll.nodes, func(c, best llNode) bool {
-					return c.host >= 0 && (best.host < 0 || c.running < best.running ||
-						(c.running == best.running && c.free > best.free))
-				})
-				checkTree8(t, warm.tree8, warm.nodes, func(c, best warmNode) bool {
-					return c.host >= 0 && (best.host < 0 || c.idle > best.idle)
-				})
+				checkLLTree(t, ll)
+				checkWarmHeap(t, warm, func(h int) (uint64, bool) { return warms[h].idle, warms[h].eligible })
 			}
 		}
 	}
 }
 
-// checkTree8 recomputes every internal node of a tree8 from its children
-// by a left-to-right scan keeping the first strictly better child, and
-// fails on any node that differs.
-func checkTree8[N comparable](t *testing.T, tr tree8, nodes []N, better func(c, best N) bool) {
+// checkLLTree recomputes every internal node of the least-loaded tree from
+// its children by a left-to-right scan keeping the first strictly better
+// child, and fails on any node that differs.
+func checkLLTree(t *testing.T, tr *llTree) {
 	t.Helper()
+	better := func(c, best llNode) bool {
+		return c.host >= 0 && (best.host < 0 || c.running < best.running ||
+			(c.running == best.running && c.free > best.free))
+	}
 	for l := 1; l < len(tr.off)-1; l++ {
 		for j := 0; j < tr.off[l+1]-tr.off[l]; j++ {
 			lo := tr.off[l-1] + 8*j
-			want := nodes[lo]
-			for _, c := range nodes[lo+1 : min(lo+8, tr.off[l])] {
+			want := tr.nodes[lo]
+			for _, c := range tr.nodes[lo+1 : min(lo+8, tr.off[l])] {
 				if better(c, want) {
 					want = c
 				}
 			}
-			if got := nodes[tr.off[l]+j]; got != want {
+			if got := tr.nodes[tr.off[l]+j]; got != want {
 				t.Fatalf("level %d node %d = %+v, children's winner %+v", l, j, got, want)
 			}
+		}
+	}
+}
+
+// checkWarmHeap fails unless every parent of the warm heap beats its
+// children, pos inverts the heap, and each host is present exactly when
+// leaf reports it eligible, keyed by leaf's idle time.
+func checkWarmHeap(t *testing.T, hp *warmHeap, leaf func(h int) (idle uint64, eligible bool)) {
+	t.Helper()
+	for i, n := range hp.nodes {
+		if i > 0 && !warmBeats(hp.nodes[(i-1)/2], n) {
+			t.Fatalf("heap node %d %+v beats its parent %+v", i, n, hp.nodes[(i-1)/2])
+		}
+		if int(hp.pos[n.host]) != i {
+			t.Fatalf("pos[%d] = %d, but host %d sits at %d", n.host, hp.pos[n.host], n.host, i)
+		}
+	}
+	for h, i := range hp.pos {
+		idle, eligible := leaf(h)
+		switch {
+		case !eligible && i != -1:
+			t.Fatalf("ineligible host %d sits at %d", h, i)
+		case eligible && (i < 0 || hp.nodes[i] != warmNode{idle: idle, host: int32(h)}):
+			t.Fatalf("eligible host %d (idle %d) at %d", h, idle, i)
 		}
 	}
 }

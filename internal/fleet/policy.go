@@ -50,7 +50,7 @@ type Policy interface {
 // reads the engine's warm index (Cluster.BestWarmHost), so a custom policy
 // built on it answers in O(1) instead of scanning every host's pool.
 func PlaceWarmFirst(c *Cluster, inv Invocation) int {
-	if h := c.BestWarmHost(inv.Workload); h >= 0 {
+	if h := c.bestWarm(c.idOf(inv)); h >= 0 {
 		return h
 	}
 	return PlaceLeastLoaded(c, inv)

@@ -9,25 +9,27 @@ import (
 )
 
 // TestEventQueueDifferential drives the event queue with seeded random
-// push/pop interleavings and checks every pop against a sorted reference
-// (a plain list popped by linear min-search on (time, seq)). Times sit on
-// a coarse grid so equal times are common; the fifo pushes alternate
-// between phases of a fixed offset (in-order deadlines, the lane) and a
-// varying one (out-of-order deadlines that must fall back to the heap);
-// pop-heavy phases drain the lane to empty; every popped slot is released
-// and reused. The popped (time, seq) sequence and each payload must match
-// the reference exactly, and peek must name each key before it pops.
+// push/pop interleavings over several lanes and checks every pop against a
+// sorted reference (a plain list popped by linear min-search on (time,
+// seq)). Times sit on a coarse grid so equal times are common. Each lane
+// alternates between phases of a fixed per-lane delay (in-order keys, the
+// lane itself) and a varying one (out-of-order keys that must fall back to
+// the heap); pop-heavy phases drain lanes to empty; every popped slot is
+// released and reused. The popped (time, seq) sequence and each payload
+// must match the reference exactly, peek must name each key before it
+// pops, and the lane-head heap must hold one key per non-empty lane.
 func TestEventQueueDifferential(t *testing.T) {
 	type ref struct {
 		time, seq uint64
 		uid       int
 	}
+	const lanes = 5
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q eventQueue
 		var want []ref
 		var now, seq uint64
-		var pops, fallbacks, laneDrains, maxLive int
+		var pops, fallbacks, laneDrains, lanePops, heapPops, maxLive int
 		popOne := func() {
 			i := 0
 			for j := range want {
@@ -37,7 +39,7 @@ func TestEventQueueDifferential(t *testing.T) {
 			}
 			w := want[i]
 			want = append(want[:i], want[i+1:]...)
-			laneWas := q.llen
+			fromLane := q.laneFirst()
 			pk, ok := q.peek()
 			k := q.pop()
 			if !ok || pk != k {
@@ -49,62 +51,79 @@ func TestEventQueueDifferential(t *testing.T) {
 			if got := q.slab[k.slot].uid; got != w.uid {
 				t.Fatalf("seed %d pop %d: payload uid %d, want %d", seed, pops, got, w.uid)
 			}
-			if laneWas == 1 && q.llen == 0 {
-				laneDrains++
+			if fromLane {
+				lanePops++
+				if q.lanes[k.lane].n == 0 {
+					laneDrains++
+				}
+			} else {
+				heapPops++
 			}
 			q.release(k.slot)
 			now = k.time
 			pops++
 		}
 		for step := 0; step < 3000; step++ {
-			phase := (step / 250) % 3 // 0: in-order deadlines, 1: varying, 2: drain
+			phase := (step / 250) % 3 // 0: in-order, 1: varying, 2: drain
 			if len(want) > 0 && (phase == 2 && rng.Intn(4) > 0 || rng.Intn(3) == 0) {
 				popOne()
-				continue
-			}
-			fifo := rng.Intn(2) == 0
-			at := now + 10*uint64(rng.Intn(8)) // completions: any order, ties common
-			if fifo {
-				at = now + 50 // fixed TTL: deadlines arrive in order
-				if phase == 1 {
+			} else {
+				lane := rng.Intn(lanes)
+				at := now + 20*uint64(lane) // a fixed delay per lane, 0 included
+				if phase == 1 && lane%2 == 0 {
 					at = now + 10*uint64(rng.Intn(10))
 				}
+				heapWas := len(q.heap)
+				q.push(at, event{uid: int(seq)}, lane)
+				if len(q.heap) > heapWas {
+					fallbacks++
+				}
+				want = append(want, ref{time: at, seq: seq, uid: int(seq)})
+				seq++
+				maxLive = max(maxLive, len(want))
 			}
-			heapWas := len(q.heap)
-			q.push(at, event{uid: int(seq)}, fifo)
-			if fifo && len(q.heap) > heapWas {
-				fallbacks++
-			}
-			want = append(want, ref{time: at, seq: seq, uid: int(seq)})
-			seq++
 			if q.len() != len(want) {
 				t.Fatalf("seed %d: len %d, want %d", seed, q.len(), len(want))
 			}
-			maxLive = max(maxLive, len(want))
+			nonEmpty := 0
+			for _, r := range q.lanes {
+				if r.n > 0 {
+					nonEmpty++
+				}
+			}
+			if len(q.heads) != nonEmpty {
+				t.Fatalf("seed %d step %d: %d lane heads for %d non-empty lanes", seed, step, len(q.heads), nonEmpty)
+			}
 		}
 		for len(want) > 0 {
 			popOne()
 		}
-		if q.len() != 0 {
-			t.Fatalf("seed %d: %d keys left after draining", seed, q.len())
+		if q.len() != 0 || len(q.heads) != 0 {
+			t.Fatalf("seed %d: %d keys, %d lane heads left after draining", seed, q.len(), len(q.heads))
 		}
 		if len(q.slab) > maxLive {
 			t.Fatalf("seed %d: slab grew to %d slots for at most %d live events; slots not reused", seed, len(q.slab), maxLive)
 		}
-		if fallbacks == 0 || laneDrains == 0 {
-			t.Fatalf("seed %d: coverage gap: %d lane->heap fallbacks, %d lane drains", seed, fallbacks, laneDrains)
+		if fallbacks == 0 || laneDrains == 0 || lanePops == 0 || heapPops == 0 {
+			t.Fatalf("seed %d: coverage gap: %d lane->heap fallbacks, %d lane drains, %d lane pops, %d heap pops",
+				seed, fallbacks, laneDrains, lanePops, heapPops)
 		}
 	}
 }
 
-// TestEventQueueFixedTTLStaysInLane pins the point of the lane: in-order
+// TestEventQueueFixedTTLStaysInLane pins the point of the lanes: in-order
 // deadlines never enter the heap, however many are pending, and the ring
-// keeps their order across its growth and wrap-around.
+// keeps their order across its growth and wrap-around. The same holds for
+// completions of a single delay class interleaved with them: each class's
+// keys stay in their own lane, and the two lanes merge in (time, seq)
+// order.
 func TestEventQueueFixedTTLStaysInLane(t *testing.T) {
+	const completionLane = 3
 	var q eventQueue
 	var now uint64
 	for i := 0; i < 1000; i++ {
-		q.push(now+500, event{uid: i}, true)
+		q.push(now+500, event{uid: i}, expiryLane)
+		q.push(now+300, event{uid: i, kind: evCompletion}, completionLane)
 		if i%3 == 0 {
 			k := q.pop()
 			now = max(now, k.time)
@@ -113,17 +132,29 @@ func TestEventQueueFixedTTLStaysInLane(t *testing.T) {
 		now += 7
 	}
 	if len(q.heap) != 0 {
-		t.Fatalf("%d in-order deadlines fell back to the heap", len(q.heap))
+		t.Fatalf("%d in-order deadlines or completions fell back to the heap", len(q.heap))
 	}
-	prev := -1
+	if q.lanes[expiryLane].n == 0 || q.lanes[completionLane].n == 0 {
+		t.Fatalf("lanes hold %d deadlines and %d completions; want both pending",
+			q.lanes[expiryLane].n, q.lanes[completionLane].n)
+	}
+	prev := [completionLane + 1]int{-1, -1, -1, -1}
+	var last evKey
 	for q.len() > 0 {
 		k := q.pop()
-		if uid := q.slab[k.slot].uid; uid <= prev {
-			t.Fatalf("lane popped uid %d after %d", uid, prev)
+		if k.before(last) {
+			t.Fatalf("popped (%d, %d) after (%d, %d)", k.time, k.seq, last.time, last.seq)
+		}
+		last = k
+		if uid := q.slab[k.slot].uid; uid <= prev[k.lane] {
+			t.Fatalf("lane %d popped uid %d after %d", k.lane, uid, prev[k.lane])
 		} else {
-			prev = uid
+			prev[k.lane] = uid
 		}
 		q.release(k.slot)
+		if len(q.heap) != 0 {
+			t.Fatalf("a pop moved %d keys to the heap", len(q.heap))
+		}
 	}
 }
 

@@ -105,7 +105,7 @@ func (e *engine) verifyIndexes() error {
 			return fmt.Errorf("fleet: index divergence at t=%d: OldestWarm(%d)=%d, reference scan=%d", c.now, h, got, want)
 		}
 	}
-	for w := range e.costs {
+	for _, w := range c.names {
 		if got, want := c.BestWarmHost(w), c.refBestWarmHost(w); got != want {
 			return fmt.Errorf("fleet: index divergence at t=%d: BestWarmHost(%s)=%d, reference scan=%d", c.now, w, got, want)
 		}
