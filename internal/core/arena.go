@@ -12,7 +12,8 @@ const bitmapWords = 4
 // the VA field, the allocation bitmap, the bypass counter, and the
 // prev/next links of the per-size-class available/full lists. The arena
 // body (the object array) is pure address space; only its timing effects
-// are simulated.
+// are simulated. A Unit keeps its arenas by value in one slab, and the
+// links are slab references (see arenaRef).
 type Arena struct {
 	// BaseVA is the header's (and arena's) base virtual address.
 	BaseVA uint64
@@ -29,12 +30,16 @@ type Arena struct {
 	// BypassCtr have never been accessed and may bypass DRAM.
 	BypassCtr uint16
 	// prev/next link same-class arenas into the available or full list.
-	prev, next *Arena
+	prev, next arenaRef
 	// onFullList marks which list the arena is on when linked.
 	onFullList bool
 	// linked is true while the arena is a member of either list.
 	linked bool
 }
+
+// arenaRef names an arena by its slab slot plus one; the zero value is no
+// arena, so zeroed links, list heads and HOT entries are empty.
+type arenaRef int32
 
 // nObjs is the fixed object capacity (256 objects -> 256-bit bitmap).
 const nObjs = bitmapWords * 64
@@ -92,60 +97,61 @@ func (a *Arena) Full() bool { return a.live == nObjs }
 // Empty reports whether the arena holds no live objects.
 func (a *Arena) Empty() bool { return a.live == 0 }
 
-// arenaList is a doubly-linked list of arenas whose head pointer lives in
+// arenaList is a doubly-linked list of slab arenas whose head lives in
 // the HOT entry (Fig 5b: available list head / full list head).
 type arenaList struct {
-	head *Arena
+	head arenaRef
 	n    int
 	full bool // identifies which list, for assertions
 }
 
-// Push inserts a at the head.
-func (lst *arenaList) Push(a *Arena) {
+// at returns the arena r refers to in slab s.
+func at(s []Arena, r arenaRef) *Arena { return &s[r-1] }
+
+// push inserts r at the head.
+func (lst *arenaList) push(s []Arena, r arenaRef) {
+	a := at(s, r)
 	if a.linked {
 		panic(fmt.Sprintf("core: arena %#x already on a list", a.BaseVA))
 	}
-	a.prev = nil
+	a.prev = 0
 	a.next = lst.head
-	if lst.head != nil {
-		lst.head.prev = a
+	if lst.head != 0 {
+		at(s, lst.head).prev = r
 	}
-	lst.head = a
+	lst.head = r
 	a.linked = true
 	a.onFullList = lst.full
 	lst.n++
 }
 
-// Pop removes and returns the head arena, or nil.
-func (lst *arenaList) Pop() *Arena {
-	a := lst.head
-	if a == nil {
-		return nil
+// pop removes and returns the head arena, or 0.
+func (lst *arenaList) pop(s []Arena) arenaRef {
+	r := lst.head
+	if r != 0 {
+		lst.remove(s, r)
 	}
-	lst.Remove(a)
-	return a
+	return r
 }
 
-// Remove unlinks a from the list.
-func (lst *arenaList) Remove(a *Arena) {
+// remove unlinks r from the list.
+func (lst *arenaList) remove(s []Arena, r arenaRef) {
+	a := at(s, r)
 	if !a.linked || a.onFullList != lst.full {
 		panic(fmt.Sprintf("core: removing arena %#x from wrong list", a.BaseVA))
 	}
-	if a.prev != nil {
-		a.prev.next = a.next
+	if a.prev != 0 {
+		at(s, a.prev).next = a.next
 	} else {
 		lst.head = a.next
 	}
-	if a.next != nil {
-		a.next.prev = a.prev
+	if a.next != 0 {
+		at(s, a.next).prev = a.prev
 	}
-	a.prev, a.next = nil, nil
+	a.prev, a.next = 0, 0
 	a.linked = false
 	lst.n--
 }
 
 // Len returns the list length.
 func (lst *arenaList) Len() int { return lst.n }
-
-// Head returns the head without removing it.
-func (lst *arenaList) Head() *Arena { return lst.head }

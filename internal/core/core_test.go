@@ -165,22 +165,22 @@ func TestArenaBitmap(t *testing.T) {
 
 func TestArenaListOps(t *testing.T) {
 	var lst arenaList
-	a1 := &Arena{BaseVA: 1}
-	a2 := &Arena{BaseVA: 2}
-	lst.Push(a1)
-	lst.Push(a2)
-	if lst.Len() != 2 || lst.Head() != a2 {
+	slab := []Arena{{BaseVA: 1}, {BaseVA: 2}}
+	const a1, a2 = arenaRef(1), arenaRef(2)
+	lst.push(slab, a1)
+	lst.push(slab, a2)
+	if lst.Len() != 2 || lst.head != a2 {
 		t.Fatal("push order wrong")
 	}
-	lst.Remove(a1)
-	if lst.Len() != 1 || lst.Head() != a2 {
+	lst.remove(slab, a1)
+	if lst.Len() != 1 || lst.head != a2 {
 		t.Fatal("remove tail wrong")
 	}
-	if got := lst.Pop(); got != a2 {
+	if got := lst.pop(slab); got != a2 {
 		t.Fatal("pop wrong")
 	}
-	if lst.Pop() != nil {
-		t.Fatal("empty pop should be nil")
+	if lst.pop(slab) != 0 {
+		t.Fatal("empty pop should be 0")
 	}
 }
 
@@ -446,8 +446,7 @@ func TestBypassCounterDecrementOnFree(t *testing.T) {
 	f.u.AccessData(va, true)
 	f.u.AccessData(va+448, true) // last line of object 0
 	class, base, _, _ := f.lay.Decompose(va)
-	_ = class
-	a := f.u.arenaByBase[base]
+	a := f.u.at(f.u.lookup(class, base))
 	if a.BypassCtr == 0 {
 		t.Fatal("counter should have advanced")
 	}

@@ -12,7 +12,6 @@ func TestBypassCounterSaturatesAt11Bits(t *testing.T) {
 	// Class 63 arenas span 2048 body lines — exactly the 11-bit range.
 	va, _, _ := f.u.ObjAlloc(512)
 	base := va &^ (f.lay.ArenaBytes(63) - 1)
-	a := f.u.arenaByBase[base]
 	max := uint16((1 << f.cfg.Memento.BypassCounterBits) - 1)
 	// Touch far into the body repeatedly; the counter must never exceed
 	// its width.
@@ -24,7 +23,7 @@ func TestBypassCounterSaturatesAt11Bits(t *testing.T) {
 	for off := uint64(0); off < 200*512; off += 4096 {
 		f.u.AccessData(va+off, true)
 	}
-	if a.BypassCtr > max {
+	if a := f.u.at(f.u.lookup(63, base)); a.BypassCtr > max {
 		t.Fatalf("bypass counter %d exceeds %d-bit range", a.BypassCtr, f.cfg.Memento.BypassCounterBits)
 	}
 }

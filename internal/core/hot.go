@@ -10,8 +10,8 @@ import (
 // header for the size class, the PA field (carried inside Arena.HeaderPA),
 // and the available/full list head pointers.
 type hotEntry struct {
-	// arena is the cached header; nil means the entry is invalid.
-	arena *Arena
+	// arena is the cached header; 0 means the entry is invalid.
+	arena arenaRef
 	// avail tracks arenas with at least one free object; full tracks
 	// arenas without any (Section 3.1, "Memento Arenas").
 	avail arenaList
@@ -89,43 +89,45 @@ func (s Stats) FreeHitRate() float64 {
 	return float64(s.FreeHits) / float64(t)
 }
 
-// listPush links a onto lst, charging the header writes the hardware
+// listPush links r onto lst, charging the header writes the hardware
 // performs (the moved arena's prev/next and the old head's prev).
-func (u *Unit) listPush(lst *arenaList, a *Arena) uint64 {
+func (u *Unit) listPush(lst *arenaList, r arenaRef) uint64 {
 	var cycles uint64
-	cycles += u.mem.Access(a.HeaderPA, true)
-	if h := lst.Head(); h != nil {
-		cycles += u.mem.Access(h.HeaderPA, true)
+	cycles += u.mem.Access(u.at(r).HeaderPA, true)
+	if h := lst.head; h != 0 {
+		cycles += u.mem.Access(u.at(h).HeaderPA, true)
 	}
-	lst.Push(a)
+	lst.push(u.arenas, r)
 	return cycles
 }
 
 // listPop unlinks the head of lst, charging the header reads/writes.
-func (u *Unit) listPop(lst *arenaList) (*Arena, uint64) {
-	a := lst.Head()
-	if a == nil {
-		return nil, 0
+func (u *Unit) listPop(lst *arenaList) (arenaRef, uint64) {
+	r := lst.head
+	if r == 0 {
+		return 0, 0
 	}
 	var cycles uint64
+	a := u.at(r)
 	cycles += u.mem.Access(a.HeaderPA, true)
-	if a.next != nil {
-		cycles += u.mem.Access(a.next.HeaderPA, true)
+	if a.next != 0 {
+		cycles += u.mem.Access(u.at(a.next).HeaderPA, true)
 	}
-	lst.Remove(a)
-	return a, cycles
+	lst.remove(u.arenas, r)
+	return r, cycles
 }
 
 // listRemove unlinks a specific arena, charging neighbour header updates.
-func (u *Unit) listRemove(lst *arenaList, a *Arena) uint64 {
+func (u *Unit) listRemove(lst *arenaList, r arenaRef) uint64 {
 	var cycles uint64
+	a := u.at(r)
 	cycles += u.mem.Access(a.HeaderPA, true)
-	if a.prev != nil {
-		cycles += u.mem.Access(a.prev.HeaderPA, true)
+	if a.prev != 0 {
+		cycles += u.mem.Access(u.at(a.prev).HeaderPA, true)
 	}
-	if a.next != nil {
-		cycles += u.mem.Access(a.next.HeaderPA, true)
+	if a.next != 0 {
+		cycles += u.mem.Access(u.at(a.next).HeaderPA, true)
 	}
-	lst.Remove(a)
+	lst.remove(u.arenas, r)
 	return cycles
 }

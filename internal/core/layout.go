@@ -157,6 +157,16 @@ func (l *Layout) Decompose(va uint64) (class int, arenaBase uint64, objIdx int, 
 	return class, arenaBase, objIdx, true
 }
 
+// StripeIndex returns the index of the arena based at arenaBase within
+// class c's stripe; ok is false outside the stripe.
+func (l *Layout) StripeIndex(c int, arenaBase uint64) (int, bool) {
+	start := l.StripeStart(c)
+	if arenaBase < start || arenaBase-start >= l.stripeBytes {
+		return 0, false
+	}
+	return int((arenaBase - start) / l.arenaBytes[c]), true
+}
+
 // ObjectVA returns the address of object idx in the arena at arenaBase of
 // the given class.
 func (l *Layout) ObjectVA(class int, arenaBase uint64, idx int) uint64 {

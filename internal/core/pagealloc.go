@@ -156,8 +156,8 @@ func NewPageAllocator(cfg config.Machine, layout *Layout, mem pagetable.Mem, k *
 // hook vetoed the refill).
 func (p *PageAllocator) refillPool(n int) error {
 	p.mutated = true
-	frames, cycles, err := p.k.AllocPoolPages(n)
-	p.pool = append(p.pool, frames...)
+	pool, cycles, err := p.k.AllocPoolPages(p.pool, n)
+	p.pool = pool
 	p.stats.BackgroundCycles += cycles
 	p.stats.PoolRefills++
 	if err != nil {
@@ -214,7 +214,7 @@ func (p *PageAllocator) pointerBlockPA(c int) uint64 {
 // AllocArena hands a new arena of class c to the object allocator: bump the
 // class's VA pointer, eagerly back the first page (which holds the header),
 // and return the arena image. Returns the critical-path cycle cost.
-func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
+func (p *PageAllocator) AllocArena(c int) (Arena, uint64, error) {
 	p.mutated = true
 	cycles := p.cfg.Cost.MementoArenaRequestCycles // object alloc -> controller round trip
 	cycles += p.aacLookup(c)
@@ -222,7 +222,7 @@ func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
 	size := p.layout.ArenaBytes(c)
 	va := p.bump[c]
 	if va+size > p.layout.StripeStart(c)+p.layout.stripeBytes {
-		return nil, cycles, simerr.WrapVA(ErrRegionExhausted, "arena-alloc", va)
+		return Arena{}, cycles, simerr.WrapVA(ErrRegionExhausted, "arena-alloc", va)
 	}
 	p.bump[c] = va + size
 
@@ -231,7 +231,7 @@ func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
 		// Nothing was mapped: un-reserve the VA so a failed request leaves
 		// the stripe exactly as it found it.
 		p.bump[c] = va
-		return nil, cycles, simerr.WrapVA(err, "arena-alloc", va)
+		return Arena{}, cycles, simerr.WrapVA(err, "arena-alloc", va)
 	}
 	vpn := va >> config.PageShift
 	instCycles, err := p.pt.Install(vpn, frame, p.mem, p.newTablePage)
@@ -239,13 +239,13 @@ func (p *PageAllocator) AllocArena(c int) (*Arena, uint64, error) {
 	if err != nil {
 		p.bump[c] = va
 		p.pool = append(p.pool, frame)
-		return nil, cycles, simerr.WrapVA(err, "arena-alloc", va)
+		return Arena{}, cycles, simerr.WrapVA(err, "arena-alloc", va)
 	}
 	p.stats.PagesBacked++
 	p.noteBacked(1)
 	p.k.CountUserPage(1)
 
-	a := &Arena{
+	a := Arena{
 		BaseVA:   va,
 		Class:    c,
 		HeaderPA: frame << config.PageShift,
@@ -320,7 +320,7 @@ func (p *PageAllocator) Walk(vpn uint64) (pfn uint64, cycles uint64, err error) 
 // FreeArena reclaims an arena whose last object died: walk the Memento
 // table, return backing pages to the pool, invalidate PTEs, and issue TLB
 // shootdowns to cores recorded in the shootdown vector.
-func (p *PageAllocator) FreeArena(a *Arena) uint64 {
+func (p *PageAllocator) FreeArena(a Arena) uint64 {
 	p.mutated = true
 	startVPN := a.BaseVA >> config.PageShift
 	// The same run walk as the kernel's munmap (DESIGN.md §15); reclaim
@@ -352,8 +352,9 @@ func (p *PageAllocator) Release() error {
 	// The pool, then the table's still-mapped data pages and table pages;
 	// its private nodes go back to the kernel's free list.
 	frames := p.pt.Drop(p.pool)
-	p.pool = nil
-	return p.k.FreePoolPages(frames)
+	err := p.k.FreePoolPages(frames)
+	p.pool = frames[:0]
+	return err
 }
 
 // Stats returns a copy of the counters.

@@ -10,9 +10,9 @@ import (
 // MPTR-rooted page table is the same radix tree as the kernel's
 // (internal/pagetable), so capture freezes it in place and both the
 // snapshot and any live allocator restored from it alias the nodes until a
-// mutation clones the affected path — copy-on-write. The arena graph, by
-// contrast, is a doubly-linked structure the object allocator rewires
-// constantly, so it stays deep-copied on capture and on every restore.
+// mutation clones the affected path — copy-on-write. The arena slab, by
+// contrast, is rewired constantly by the object allocator; it is a value
+// slice, so capture and every restore copy it.
 // Attachment state (Shootdown callbacks, fault-injection hooks) is never
 // captured; the caller re-wires it.
 
@@ -114,54 +114,24 @@ func (p *PageAllocator) Restore(s *PageAllocSnapshot) uint64 {
 // snapshot taken alongside it. The page table is aliased (copy-on-write).
 // The caller wires Shootdown and any alloc hook afterwards.
 func RestorePageAllocator(cfg config.Machine, layout *Layout, mem pagetable.Mem, k *kernel.Kernel, s *PageAllocSnapshot) *PageAllocator {
-	p := &PageAllocator{cfg: cfg, layout: layout, mem: mem, k: k}
-	p.rep, _ = mem.(pagetable.HitRepeater)
+	p := new(PageAllocator)
+	p.Attach(cfg, layout, mem, k)
 	p.Restore(s)
 	return p
 }
 
-// cloneArenaGraph deep-copies every arena in the index, preserving the
-// prev/next list links and membership flags. Links are remapped via the
-// base-VA index, which covers every linked arena (list members and cached
-// HOT arenas are always live and indexed).
-func cloneArenaGraph(src map[uint64]*Arena) map[uint64]*Arena {
-	out := make(map[uint64]*Arena, len(src))
-	for base, a := range src {
-		out[base] = &Arena{
-			BaseVA:     a.BaseVA,
-			Class:      a.Class,
-			HeaderPA:   a.HeaderPA,
-			bitmap:     a.bitmap,
-			live:       a.live,
-			BypassCtr:  a.BypassCtr,
-			onFullList: a.onFullList,
-			linked:     a.linked,
-		}
-	}
-	for _, a := range src {
-		c := out[a.BaseVA]
-		if a.prev != nil {
-			c.prev = out[a.prev.BaseVA]
-		}
-		if a.next != nil {
-			c.next = out[a.next.BaseVA]
-		}
-	}
-	return out
-}
-
-// hotSnap records one HOT entry by arena base VA: the cached arena and the
-// available/full list heads and lengths. Pointers are resolved against the
-// cloned arena graph on restore.
-type hotSnap struct {
-	arenaBase uint64
-	hasArena  bool
-	availHead uint64
-	hasAvail  bool
-	fullHead  uint64
-	hasFull   bool
-	availN    int
-	fullN     int
+// Attach wires the allocator to a configuration, layout, memory and kernel
+// — whatever machine it last served — and detaches its Shootdown callback
+// and alloc hook. Its state is left for a Restore to replace, which then
+// copies in full (the table must bind to k's node free list) into the
+// capacity of the pool and pointer slices the allocator already holds.
+func (p *PageAllocator) Attach(cfg config.Machine, layout *Layout, mem pagetable.Mem, k *kernel.Kernel) {
+	p.cfg, p.layout, p.mem, p.k = cfg, layout, mem, k
+	p.rep, _ = mem.(pagetable.HitRepeater)
+	p.pt = pagetable.Table{}
+	p.Shootdown = nil
+	p.allocHook = nil
+	p.base = nil
 }
 
 // arenaSnapBytes is the captured size of one arena: base VA, class, header
@@ -169,27 +139,34 @@ type hotSnap struct {
 // two membership flags.
 const arenaSnapBytes = 8 + 8 + 8 + bitmapWords*8 + 8 + 2 + 16 + 2
 
-// hotSnapBytes is the wire size of one hotSnap record.
+// hotSnapBytes is the metered size of one HOT entry: the cached arena and
+// the available/full list heads (a base VA and a presence flag each), and
+// the two list lengths.
 const hotSnapBytes = 3*8 + 2*8 + 3
 
 // unitStatsBytes is the wire size of the Stats struct (15 counters).
 const unitStatsBytes = 15 * 8
 
-// UnitSnapshot is a deep copy of the object allocator's state: the arena
-// graph, the HOT entries, the cross-thread free buffer, and the counters.
-// Unlike the page-table snapshots it is copied in full on every restore —
-// the arena graph's intrusive links make aliasing unsafe.
+// UnitSnapshot is a copy of the object allocator's state: the arena slab
+// with its vacant slots and stripe index, the HOT entries, the cross-thread
+// free buffer, and the counters. Every piece is a value slice — arena links
+// are slab references, not pointers — so capture and restore are slice
+// copies, and a restore lands in the unit's existing slabs.
 type UnitSnapshot struct {
-	arenas       map[uint64]*Arena
-	hot          []hotSnap
+	arenas       []Arena
+	vacant       []arenaRef
+	stripe       [][]arenaRef
+	nlive        int
+	hot          []hotEntry
 	crossFreeBuf []uint64
 	stats        Stats
 }
 
-// Bytes returns the full size of the captured state; a restore copies all
-// of it (UnitSnapshot has no shared portion).
+// Bytes returns the full size of the captured state (its live arenas, HOT
+// entries, buffer and counters); a restore copies all of it (UnitSnapshot
+// has no shared portion).
 func (s *UnitSnapshot) Bytes() uint64 {
-	return uint64(len(s.arenas))*arenaSnapBytes + uint64(len(s.hot))*hotSnapBytes +
+	return uint64(s.nlive)*arenaSnapBytes + uint64(len(s.hot))*hotSnapBytes +
 		uint64(len(s.crossFreeBuf))*8 + unitStatsBytes
 }
 
@@ -197,52 +174,34 @@ func (s *UnitSnapshot) Bytes() uint64 {
 // restored any number of times.
 func (u *Unit) Snapshot() *UnitSnapshot {
 	s := &UnitSnapshot{
-		arenas:       cloneArenaGraph(u.arenaByBase),
-		hot:          make([]hotSnap, len(u.hot)),
+		arenas:       append([]Arena(nil), u.arenas...),
+		vacant:       append([]arenaRef(nil), u.vacant...),
+		stripe:       make([][]arenaRef, len(u.stripe)),
+		nlive:        u.nlive,
+		hot:          append([]hotEntry(nil), u.hot...),
 		crossFreeBuf: append([]uint64(nil), u.crossFreeBuf...),
 		stats:        u.stats,
 	}
-	for i := range u.hot {
-		e := &u.hot[i]
-		hs := &s.hot[i]
-		if e.arena != nil {
-			hs.arenaBase, hs.hasArena = e.arena.BaseVA, true
+	for c, refs := range u.stripe {
+		if len(refs) > 0 {
+			s.stripe[c] = append([]arenaRef(nil), refs...)
 		}
-		if h := e.avail.head; h != nil {
-			hs.availHead, hs.hasAvail = h.BaseVA, true
-		}
-		if h := e.full.head; h != nil {
-			hs.fullHead, hs.hasFull = h.BaseVA, true
-		}
-		hs.availN, hs.fullN = e.avail.n, e.full.n
 	}
 	return s
 }
 
 // Restore replaces the unit's state with a copy of s, returning the bytes
-// copied (always s.Bytes(): the arena graph cannot be aliased). The unit
-// must have been built by NewUnit from the same configuration and layout;
-// the list identity flags it preset are kept.
+// copied (always s.Bytes()). The copy lands in the unit's existing slabs.
+// The unit must have been built (or attached) from the same configuration
+// and layout.
 func (u *Unit) Restore(s *UnitSnapshot) uint64 {
-	u.arenaByBase = cloneArenaGraph(s.arenas)
-	for i := range u.hot {
-		e := &u.hot[i]
-		hs := &s.hot[i]
-		e.arena = nil
-		if hs.hasArena {
-			e.arena = u.arenaByBase[hs.arenaBase]
-		}
-		e.avail.head = nil
-		if hs.hasAvail {
-			e.avail.head = u.arenaByBase[hs.availHead]
-		}
-		e.full.head = nil
-		if hs.hasFull {
-			e.full.head = u.arenaByBase[hs.fullHead]
-		}
-		e.avail.n = hs.availN
-		e.full.n = hs.fullN
+	u.arenas = append(u.arenas[:0], s.arenas...)
+	u.vacant = append(u.vacant[:0], s.vacant...)
+	for c := range u.stripe {
+		u.stripe[c] = append(u.stripe[c][:0], s.stripe[c]...)
 	}
+	u.nlive = s.nlive
+	copy(u.hot, s.hot)
 	u.crossFreeBuf = append(u.crossFreeBuf[:0], s.crossFreeBuf...)
 	u.stats = s.stats
 	return s.Bytes()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"memento/internal/config"
 	"memento/internal/pagetable"
@@ -35,10 +34,15 @@ type Unit struct {
 	mem pagetable.Mem
 	// translator is the MMU path for VA resolution.
 	translator Translator
-	// arenaByBase is the simulation's index of live arenas; hardware
-	// derives the same information from the header residing at the arena
-	// base address.
-	arenaByBase map[uint64]*Arena
+	// arenas is the slab of arena headers, by value; vacant slots have
+	// BaseVA 0 and are listed in vacant for reuse. stripe[c][i] refers to
+	// the live arena at index i of class c's stripe (Layout.StripeIndex),
+	// 0 when there is none: the simulation's index of live arenas, where
+	// hardware derives the same from the header at the arena base address.
+	arenas []Arena
+	vacant []arenaRef
+	stripe [][]arenaRef
+	nlive  int
 	// crossFreeBuf is the thread-local buffer batching non-local frees for
 	// the software-assisted design of Section 4.
 	crossFreeBuf []uint64
@@ -52,23 +56,95 @@ const crossFreeBufCap = 64
 // simerr.ErrInvalidConfig when the configured arena geometry does not match
 // the fixed 256-bit header bitmap.
 func NewUnit(cfg config.Machine, layout *Layout, pa *PageAllocator, mem pagetable.Mem, tr Translator) (*Unit, error) {
+	u := new(Unit)
+	if err := u.Attach(cfg, layout, pa, mem, tr); err != nil {
+		return nil, err
+	}
+	return u, nil
+}
+
+// Attach wires the unit to a configuration, layout, page allocator,
+// memory and MMU, and empties it as NewUnit leaves it, keeping the
+// capacity of its slabs: a pooled unit restored after Attach allocates
+// nothing once its slabs have grown to the working set.
+func (u *Unit) Attach(cfg config.Machine, layout *Layout, pa *PageAllocator, mem pagetable.Mem, tr Translator) error {
 	if cfg.Memento.ObjectsPerArena != nObjs {
-		return nil, fmt.Errorf("core: configured %d objects per arena; bitmap supports %d: %w",
+		return fmt.Errorf("core: configured %d objects per arena; bitmap supports %d: %w",
 			cfg.Memento.ObjectsPerArena, nObjs, simerr.ErrInvalidConfig)
 	}
-	u := &Unit{
-		cfg:         cfg,
-		layout:      layout,
-		hot:         make([]hotEntry, layout.Classes()),
-		pa:          pa,
-		mem:         mem,
-		translator:  tr,
-		arenaByBase: make(map[uint64]*Arena),
-	}
+	u.cfg, u.layout, u.pa, u.mem, u.translator = cfg, layout, pa, mem, tr
+	n := layout.Classes()
+	u.hot = resize(u.hot, n)
+	clear(u.hot)
 	for i := range u.hot {
 		u.hot[i].full.full = true
 	}
-	return u, nil
+	u.stripe = resize(u.stripe, n)
+	u.empty()
+	u.crossFreeBuf = u.crossFreeBuf[:0]
+	u.stats = Stats{}
+	return nil
+}
+
+// Detach drops the unit's references to the machine it served, keeping
+// its slabs for a later Attach, which empties them.
+func (u *Unit) Detach() { u.pa, u.mem, u.translator = nil, nil, nil }
+
+// resize returns s with length n, reusing its capacity when it suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// empty drops every arena from the slab and the stripe index.
+func (u *Unit) empty() {
+	u.arenas, u.vacant, u.nlive = u.arenas[:0], u.vacant[:0], 0
+	for c := range u.stripe {
+		u.stripe[c] = u.stripe[c][:0]
+	}
+}
+
+// at returns the slab arena r refers to.
+func (u *Unit) at(r arenaRef) *Arena { return at(u.arenas, r) }
+
+// lookup returns the live arena of class c based at arenaBase, or 0.
+func (u *Unit) lookup(c int, arenaBase uint64) arenaRef {
+	if i, ok := u.layout.StripeIndex(c, arenaBase); ok && i < len(u.stripe[c]) {
+		return u.stripe[c][i]
+	}
+	return 0
+}
+
+// insert places a fresh arena in the slab and the stripe index.
+func (u *Unit) insert(a Arena) arenaRef {
+	var r arenaRef
+	if n := len(u.vacant); n > 0 {
+		r = u.vacant[n-1]
+		u.vacant = u.vacant[:n-1]
+		u.arenas[r-1] = a
+	} else {
+		u.arenas = append(u.arenas, a)
+		r = arenaRef(len(u.arenas))
+	}
+	i, _ := u.layout.StripeIndex(a.Class, a.BaseVA)
+	for len(u.stripe[a.Class]) <= i {
+		u.stripe[a.Class] = append(u.stripe[a.Class], 0)
+	}
+	u.stripe[a.Class][i] = r
+	u.nlive++
+	return r
+}
+
+// remove vacates r's slab slot and stripe entry.
+func (u *Unit) remove(r arenaRef) {
+	a := u.at(r)
+	i, _ := u.layout.StripeIndex(a.Class, a.BaseVA)
+	u.stripe[a.Class][i] = 0
+	*a = Arena{}
+	u.vacant = append(u.vacant, r)
+	u.nlive--
 }
 
 // Layout exposes the region geometry.
@@ -96,8 +172,8 @@ func (u *Unit) ObjAlloc(size uint64) (va uint64, cycles uint64, err error) {
 	cycles = u.cfg.Memento.HOT.LatencyCycles
 	e := &u.hot[class]
 
-	hit := e.arena != nil
-	if e.arena == nil || !e.arena.hasFree() {
+	hit := e.arena != 0
+	if e.arena == 0 || u.at(e.arena).Full() {
 		c, err := u.replaceEntry(e, class)
 		cycles += c
 		if err != nil {
@@ -105,12 +181,13 @@ func (u *Unit) ObjAlloc(size uint64) (va uint64, cycles uint64, err error) {
 		}
 		hit = false
 	}
-	idx, found := e.arena.FindFree()
+	a := u.at(e.arena)
+	idx, found := a.FindFree()
 	if !found {
 		panic("core: replaceEntry must leave a free slot")
 	}
-	e.arena.Set(idx)
-	va = u.layout.ObjectVA(class, e.arena.BaseVA, idx)
+	a.Set(idx)
+	va = u.layout.ObjectVA(class, a.BaseVA, idx)
 	if hit {
 		u.stats.AllocHits++
 	} else {
@@ -121,7 +198,7 @@ func (u *Unit) ObjAlloc(size uint64) (va uint64, cycles uint64, err error) {
 	// consumed, load the next arena now so the next request still hits.
 	// The load overlaps execution, so it costs no critical-path cycles;
 	// the memory traffic it generates is still charged.
-	if u.cfg.Memento.EagerArenaPrefetch && e.arena.Full() {
+	if u.cfg.Memento.EagerArenaPrefetch && a.Full() {
 		if _, err := u.replaceEntry(e, class); err == nil {
 			u.stats.EagerPrefetches++
 		}
@@ -129,26 +206,23 @@ func (u *Unit) ObjAlloc(size uint64) (va uint64, cycles uint64, err error) {
 	return va, cycles, nil
 }
 
-// hasFree reports whether the arena has at least one clear bitmap bit.
-func (a *Arena) hasFree() bool { return !a.Full() }
-
 // replaceEntry implements the HOT-miss path: write back the current
 // header, then load the next available arena or request a new one from the
 // page allocator. The displaced full arena goes to the head of the full
 // list.
 func (u *Unit) replaceEntry(e *hotEntry, class int) (cycles uint64, err error) {
 	old := e.arena
-	if old != nil {
+	if old != 0 {
 		// Write the cached header back to its memory location (PA field).
-		cycles += u.mem.Access(old.HeaderPA, true)
+		cycles += u.mem.Access(u.at(old).HeaderPA, true)
 	}
 	listOp := false
-	if next := e.avail.Head(); next != nil {
+	if e.avail.head != 0 {
 		// Load the next available arena and unlink it from the list head.
-		a, c := u.listPop(&e.avail)
+		r, c := u.listPop(&e.avail)
 		cycles += c
-		cycles += u.mem.Access(a.HeaderPA, false)
-		e.arena = a
+		cycles += u.mem.Access(u.at(r).HeaderPA, false)
+		e.arena = r
 		listOp = true
 	} else {
 		// No valid arenas: allocate and initialize a fresh one (Fig 6
@@ -162,10 +236,9 @@ func (u *Unit) replaceEntry(e *hotEntry, class int) (cycles uint64, err error) {
 		// Prepare the header (clear bitmap, links, VA field) and load it
 		// into the HOT entry: one header write.
 		cycles += u.mem.Access(a.HeaderPA, true)
-		u.arenaByBase[a.BaseVA] = a
-		e.arena = a
+		e.arena = u.insert(a)
 	}
-	if old != nil {
+	if old != 0 {
 		cycles += u.listPush(&e.full, old)
 		listOp = true
 	}
@@ -196,24 +269,26 @@ func (u *Unit) ObjFree(va uint64) (cycles uint64, err error) {
 	cycles = u.cfg.Memento.HOT.LatencyCycles
 	e := &u.hot[class]
 
-	if e.arena != nil && e.arena.BaseVA == arenaBase {
+	if e.arena != 0 && u.at(e.arena).BaseVA == arenaBase {
 		// HOT hit (Fig 6 step 12).
-		if !e.arena.Clear(idx) {
+		a := u.at(e.arena)
+		if !a.Clear(idx) {
 			u.stats.DoubleFrees++
 			return cycles, ErrDoubleFree
 		}
-		u.decrementBypass(e.arena, class, va)
+		u.decrementBypass(a, class, va)
 		u.stats.FreeHits++
 		return cycles, nil
 	}
 
 	// HOT miss (Fig 6 step 13): translate the arena base, fetch the header,
 	// clear the bit, write back — off the critical path.
-	a, found := u.arenaByBase[arenaBase]
-	if !found {
+	r := u.lookup(class, arenaBase)
+	if r == 0 {
 		u.stats.DoubleFrees++
 		return cycles, ErrDoubleFree // arena already reclaimed
 	}
+	a := u.at(r)
 	var off uint64
 	_, tc, terr := u.translator.Translate(arenaBase)
 	off += tc
@@ -233,22 +308,22 @@ func (u *Unit) ObjFree(va uint64) (cycles uint64, err error) {
 	wasFull := a.live+1 == nObjs
 	if wasFull && a.linked && a.onFullList {
 		// Move from the full list to the head of the available list.
-		off += u.listRemove(&e.full, a)
-		off += u.listPush(&e.avail, a)
+		off += u.listRemove(&e.full, r)
+		off += u.listPush(&e.avail, r)
 		u.stats.FreeListOps++
 	}
 	if a.Empty() {
 		// Last live object died: reclaim the arena (Section 3.2).
 		if a.linked {
 			if a.onFullList {
-				off += u.listRemove(&e.full, a)
+				off += u.listRemove(&e.full, r)
 			} else {
-				off += u.listRemove(&e.avail, a)
+				off += u.listRemove(&e.avail, r)
 			}
 			u.stats.FreeListOps++
 		}
-		off += u.pa.FreeArena(a)
-		delete(u.arenaByBase, arenaBase)
+		off += u.pa.FreeArena(*a)
+		u.remove(r)
 	}
 	u.stats.OffCriticalCycles += off
 	return cycles, nil
@@ -278,13 +353,14 @@ func (u *Unit) AccessData(va uint64, write bool) (cycles uint64, err error) {
 	}
 	cycles = tc
 	class, arenaBase, _, _ := u.layout.Decompose(va)
-	a, found := u.arenaByBase[arenaBase]
-	if !found {
+	r := u.lookup(class, arenaBase)
+	if r == 0 {
 		// Not a live arena (e.g. header space): plain access.
 		return cycles + u.mem.Access(pa, write), nil
 	}
+	a := u.at(r)
 	line := u.layout.BodyLineIndex(arenaBase, va)
-	if u.cfg.Memento.BypassEnabled && u.hotResident(class, a) && line >= int(a.BypassCtr) {
+	if u.cfg.Memento.BypassEnabled && u.hot[class].arena == r && line >= int(a.BypassCtr) {
 		cycles += u.installZero(pa, write)
 		u.stats.BypassedLines++
 		ctr := line + 1
@@ -305,13 +381,6 @@ func (u *Unit) AccessData(va uint64, write bool) (cycles uint64, err error) {
 		a.BypassCtr = uint16(ctr)
 	}
 	return cycles + u.mem.Access(pa, write), nil
-}
-
-// hotResident reports whether the arena is the HOT-cached one for its
-// class — the condition under which the HOT can identify bypass requests
-// on an L1 miss (Section 3.3).
-func (u *Unit) hotResident(class int, a *Arena) bool {
-	return u.hot[class].arena == a
 }
 
 // zeroInstaller is the optional interface the hierarchy provides for the
@@ -336,19 +405,20 @@ func (u *Unit) FlushHOT() uint64 {
 	u.stats.HOTFlushes++
 	for class := range u.hot {
 		e := &u.hot[class]
-		if e.arena == nil {
+		if e.arena == 0 {
 			continue
 		}
+		a := u.at(e.arena)
 		cycles += u.cfg.Cost.HOTFlushPerEntryCycles
-		cycles += u.mem.Access(e.arena.HeaderPA, true)
+		cycles += u.mem.Access(a.HeaderPA, true)
 		// The displaced arena keeps serving its class from memory: park it
 		// on the appropriate list so a later reload finds it.
-		if e.arena.Full() {
+		if a.Full() {
 			cycles += u.listPush(&e.full, e.arena)
 		} else {
 			cycles += u.listPush(&e.avail, e.arena)
 		}
-		e.arena = nil
+		e.arena = 0
 		u.stats.FlushedEntries++
 	}
 	return cycles
@@ -361,25 +431,23 @@ func (u *Unit) Teardown() uint64 {
 	var cycles uint64
 	for class := range u.hot {
 		e := &u.hot[class]
-		e.arena = nil
-		for e.avail.Len() > 0 {
-			e.avail.Pop()
+		e.arena = 0
+		for e.avail.pop(u.arenas) != 0 {
 		}
-		for e.full.Len() > 0 {
-			e.full.Pop()
+		for e.full.pop(u.arenas) != 0 {
 		}
 	}
-	// Free arenas in address order: the walk order affects simulated cache
-	// and row-buffer state, and runs must be deterministic.
-	bases := make([]uint64, 0, len(u.arenaByBase))
-	for base := range u.arenaByBase {
-		bases = append(bases, base)
+	// Free arenas in address order — class stripes ascend, and so do the
+	// arenas within one: the walk order affects simulated cache and
+	// row-buffer state, and runs must be deterministic.
+	for _, refs := range u.stripe {
+		for _, r := range refs {
+			if r != 0 {
+				cycles += u.pa.FreeArena(*u.at(r))
+			}
+		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	for _, base := range bases {
-		cycles += u.pa.FreeArena(u.arenaByBase[base])
-		delete(u.arenaByBase, base)
-	}
+	u.empty()
 	return cycles
 }
 
@@ -418,7 +486,7 @@ func (u *Unit) DrainCrossFrees(owner *Unit) (cycles uint64, err error) {
 func (u *Unit) PendingCrossFrees() int { return len(u.crossFreeBuf) }
 
 // LiveArenas returns the number of live arenas (for fragmentation stats).
-func (u *Unit) LiveArenas() int { return len(u.arenaByBase) }
+func (u *Unit) LiveArenas() int { return u.nlive }
 
 // Fragmentation returns the fraction of arena object slots that are not
 // live (the §6.6 fragmentation metric: "the percentage of slots in the
@@ -428,8 +496,9 @@ func (u *Unit) LiveArenas() int { return len(u.arenaByBase) }
 // pools are excluded from their occupancy.
 func (u *Unit) Fragmentation() float64 {
 	var slots, live int
-	for _, a := range u.arenaByBase {
-		if a.Empty() {
+	for i := range u.arenas {
+		a := &u.arenas[i]
+		if a.BaseVA == 0 || a.Empty() {
 			continue
 		}
 		slots += nObjs
@@ -447,8 +516,8 @@ func (u *Unit) SizeOf(va uint64) (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	a, found := u.arenaByBase[arenaBase]
-	if !found || !a.IsSet(idx) {
+	r := u.lookup(class, arenaBase)
+	if r == 0 || !u.at(r).IsSet(idx) {
 		return 0, false
 	}
 	return u.layout.ClassSize(class), true

@@ -200,6 +200,13 @@ func (b *Buddy) Free(frame uint64) error {
 	b.state[off] = 0
 	b.markDirty(off)
 	b.freeFrames += uint64(1) << order
+	b.merge(off, order)
+	return nil
+}
+
+// merge pushes the free block of the given order at off, first merging it
+// with its buddy for as long as the buddy is a free block of the same order.
+func (b *Buddy) merge(off uint64, order int) {
 	for order < MaxOrder {
 		buddy := off ^ (1 << order)
 		// A pristine-region buddy is free but not mergeable: carving never
@@ -214,7 +221,74 @@ func (b *Buddy) Free(frame uint64) error {
 		order++
 	}
 	b.push(off, order)
+}
+
+// FreeRun frees the n frames [frame, frame+n) with exactly the effect of n
+// ascending Free calls: the same states, list order, free count, dirty
+// windows and first error. The run is split into maximal aligned blocks. A
+// block of order k >= 1 whose frames are all allocated order-0 blocks is
+// freed at once: frame by frame, each order j < k would see one transient
+// sub-block pushed and unlinked again, always at the head of list j, which
+// leaves the lists as they were except that their old heads are written
+// (and so dirtied); then the last free merges on from order k. Any other
+// block goes through Free frame by frame.
+func (b *Buddy) FreeRun(frame, n uint64) error {
+	off, end := frame-b.base, frame-b.base+n
+	if frame < b.base || end < off {
+		// Out of range: let Free report it.
+		for i := uint64(0); i < n; i++ {
+			if err := b.Free(frame + i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for off < end {
+		k := 0
+		for k < MaxOrder && off&(2<<k-1) == 0 && off+2<<k <= end {
+			k++
+		}
+		size := uint64(1) << k
+		if k == 0 || !b.allocatedSingles(b.base+off, size) {
+			for f := off; f < off+size; f++ {
+				if err := b.Free(b.base + f); err != nil {
+					return err
+				}
+			}
+			off += size
+			continue
+		}
+		for j := 0; j < k; j++ {
+			if h := b.head[j]; h != noFrame {
+				b.markDirty(uint64(h))
+			}
+		}
+		for f := off; f < off+size; f++ {
+			b.state[f] = 0
+		}
+		for w := off >> dirtyBlockShift; w <= (off+size-1)>>dirtyBlockShift; w++ {
+			b.markDirty(w << dirtyBlockShift)
+		}
+		b.freeFrames += size
+		b.merge(off, k)
+		off += size
+	}
 	return nil
+}
+
+// allocatedSingles reports whether every frame in [frame, frame+n) is an
+// allocated order-0 block.
+func (b *Buddy) allocatedSingles(frame, n uint64) bool {
+	off := frame - b.base
+	if frame < b.base || off+n > uint64(len(b.state)) {
+		return false
+	}
+	for _, s := range b.state[off : off+n] {
+		if s != allocTag {
+			return false
+		}
+	}
+	return true
 }
 
 // blocksAtOrder returns the number of free blocks on order o's list.

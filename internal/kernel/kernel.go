@@ -171,6 +171,9 @@ type Kernel struct {
 	// munmapPageCycles and buddyFreeCycles are the per-page instruction
 	// costs of unmapping, fixed by the configuration.
 	munmapPageCycles, buddyFreeCycles uint64
+	// unmapStart and unmapN are Munmap's pending run of consecutive
+	// unmapped frames, not yet returned to the buddy allocator.
+	unmapStart, unmapN uint64
 }
 
 // SetProbe attaches a telemetry probe (nil detaches).
@@ -322,8 +325,8 @@ func (k *Kernel) Mmap(as *AddressSpace, length uint64, populate bool) (va uint64
 	as.mutated = true
 	start := as.cursor
 	as.cursor += pages
+	// The cursor only grows, so appending keeps the list sorted.
 	as.vmas = append(as.vmas, vma{startVPN: start, endVPN: start + pages, populate: populate})
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].startVPN < as.vmas[j].startVPN })
 	k.stats.Mmaps++
 	// VMA metadata (vm_area_struct, anon_vma, rmap) comes from kernel
 	// slabs; charge one kernel page per vmasPerSlabPage mappings created.
@@ -411,6 +414,9 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 	c, err := as.pt.ClearRange(startVPN, startVPN+pages, k.mem, k.rep,
 		func(vpn, pfn uint64) (uint64, error) { return k.unmapPage(as, vpn, pfn) })
 	cycles += c
+	if ferr := k.flushUnmapped(); err == nil {
+		err = ferr
+	}
 	if err != nil {
 		return cycles, err
 	}
@@ -426,10 +432,25 @@ func (k *Kernel) Munmap(as *AddressSpace, va, length uint64) (cycles uint64, err
 }
 
 // unmapPage returns a cleared PTE's frame to the buddy allocator and shoots
-// down its translation, returning the per-page instruction cycles.
+// down its translation, returning the per-page instruction cycles. Frames
+// that are allocated order-0 blocks (every data page) collect into a run of
+// consecutive PFNs that is freed at once when it breaks (FreeRun): nothing
+// else touches the buddy allocator until Munmap flushes it. Any other frame
+// flushes the run and goes through Free, which reports the error.
 func (k *Kernel) unmapPage(as *AddressSpace, vpn, pfn uint64) (uint64, error) {
-	if err := k.buddy.Free(pfn); err != nil {
-		return k.munmapPageCycles, err
+	if k.unmapN > 0 && pfn == k.unmapStart+k.unmapN && k.buddy.allocatedSingles(pfn, 1) {
+		k.unmapN++
+	} else {
+		// The run breaks. Free it first, so pfn is checked against the
+		// buddy state per-frame frees would have left.
+		if err := k.flushUnmapped(); err != nil {
+			return k.munmapPageCycles, err
+		}
+		if k.buddy.allocatedSingles(pfn, 1) {
+			k.unmapStart, k.unmapN = pfn, 1
+		} else if err := k.buddy.Free(pfn); err != nil {
+			return k.munmapPageCycles, err
+		}
 	}
 	as.residentPages--
 	// Count only dispatched shootdowns, keeping this counter equal to the
@@ -439,6 +460,16 @@ func (k *Kernel) unmapPage(as *AddressSpace, vpn, pfn uint64) (uint64, error) {
 		k.stats.Shootdowns++
 	}
 	return k.munmapPageCycles + k.buddyFreeCycles, nil
+}
+
+// flushUnmapped frees the pending run of unmapped frames.
+func (k *Kernel) flushUnmapped() error {
+	if k.unmapN == 0 {
+		return nil
+	}
+	n := k.unmapN
+	k.unmapN = 0
+	return k.buddy.FreeRun(k.unmapStart, n)
 }
 
 // ReleaseAll tears down every mapping in the address space — the OS
@@ -514,15 +545,15 @@ func (as *AddressSpace) CoveredVPN(vpn uint64) bool {
 	return ok
 }
 
-// AllocPoolPages hands n physical frames to the Memento hardware page
+// AllocPoolPages appends n physical frames to the Memento hardware page
 // allocator's pool (Section 3.2: "a simple physical page pool consisting of
-// free physical pages replenished by the OS on-demand"). The replenishment
-// happens off the function's critical path, so only the frames and a small
-// bookkeeping cost are returned. On exhaustion the frames allocated so far
-// are still returned alongside an error wrapping simerr.ErrOutOfMemory —
-// the caller owns them.
-func (k *Kernel) AllocPoolPages(n int) (frames []uint64, cycles uint64, err error) {
-	frames = make([]uint64, 0, n)
+// free physical pages replenished by the OS on-demand") and returns it. The
+// replenishment happens off the function's critical path, so only the
+// frames and a small bookkeeping cost are returned. On exhaustion the
+// frames allocated so far are still appended, alongside an error wrapping
+// simerr.ErrOutOfMemory — the caller owns them.
+func (k *Kernel) AllocPoolPages(frames []uint64, n int) ([]uint64, uint64, error) {
+	var cycles uint64
 	for i := 0; i < n; i++ {
 		f, aerr := k.allocFrame(0)
 		if aerr != nil {
@@ -534,12 +565,18 @@ func (k *Kernel) AllocPoolPages(n int) (frames []uint64, cycles uint64, err erro
 	return frames, cycles, nil
 }
 
-// FreePoolPages returns frames from the Memento pool to the buddy.
+// FreePoolPages returns frames from the Memento pool to the buddy, in list
+// order; runs of consecutive ascending PFNs are freed at once (FreeRun).
 func (k *Kernel) FreePoolPages(frames []uint64) error {
-	for _, f := range frames {
-		if err := k.buddy.Free(f); err != nil {
+	for i := 0; i < len(frames); {
+		j := i + 1
+		for j < len(frames) && frames[j] == frames[j-1]+1 {
+			j++
+		}
+		if err := k.buddy.FreeRun(frames[i], uint64(j-i)); err != nil {
 			return err
 		}
+		i = j
 	}
 	return nil
 }

@@ -317,7 +317,7 @@ func TestStatsAccounting(t *testing.T) {
 
 func TestAllocPoolPages(t *testing.T) {
 	k, _ := newKernel()
-	frames, cycles, err := k.AllocPoolPages(64)
+	frames, cycles, err := k.AllocPoolPages(nil, 64)
 	if err != nil || len(frames) != 64 {
 		t.Fatalf("pool alloc: err=%v n=%d", err, len(frames))
 	}
@@ -402,5 +402,55 @@ func TestPageTableWalkDepth(t *testing.T) {
 	}
 	if cycles < 4*2 {
 		t.Fatalf("walk cycles = %d, want >= 8 (4 levels x L1 hit)", cycles)
+	}
+}
+
+// TestVMAsStaySortedWithoutSort pins the invariant Mmap relies on to append
+// without re-sorting: mappings start at a cursor that only grows, so after
+// interleaved Mmap and Munmap calls the VMA list is still ordered and
+// findVMA finds every live mapping, and none of the removed ones.
+func TestVMAsStaySortedWithoutSort(t *testing.T) {
+	k, _ := newKernel()
+	as, err := k.NewAddressSpace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type mapping struct{ va, length uint64 }
+	var live, gone []mapping
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 400; i++ {
+		if rng.Intn(3) > 0 || len(live) == 0 {
+			length := uint64(1+rng.Intn(8)) << config.PageShift
+			va, _, err := k.Mmap(as, length, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, mapping{va, length})
+			continue
+		}
+		j := rng.Intn(len(live))
+		if _, err := k.Munmap(as, live[j].va, live[j].length); err != nil {
+			t.Fatal(err)
+		}
+		gone = append(gone, live[j])
+		live = append(live[:j], live[j+1:]...)
+	}
+	for i := 1; i < len(as.vmas); i++ {
+		if as.vmas[i-1].endVPN > as.vmas[i].startVPN {
+			t.Fatalf("vma %d [%#x,%#x) not after vma %d ending %#x",
+				i, as.vmas[i].startVPN, as.vmas[i].endVPN, i-1, as.vmas[i-1].endVPN)
+		}
+	}
+	for _, m := range live {
+		for off := uint64(0); off < m.length; off += config.PageSize {
+			if _, ok := as.findVMA((m.va + off) >> config.PageShift); !ok {
+				t.Fatalf("live mapping %#x+%#x not found", m.va, off)
+			}
+		}
+	}
+	for _, m := range gone {
+		if _, ok := as.findVMA(m.va >> config.PageShift); ok {
+			t.Fatalf("unmapped %#x still found", m.va)
+		}
 	}
 }

@@ -253,10 +253,19 @@ func (as *AddressSpace) Snapshot() *AddressSpaceSnapshot {
 // s.SharedBytes() aliased. The caller must set the Shootdown callback
 // before use.
 func (k *Kernel) RestoreAddressSpace(s *AddressSpaceSnapshot) *AddressSpace {
-	return &AddressSpace{
+	as := new(AddressSpace)
+	k.RestoreAddressSpaceInto(as, s)
+	return as
+}
+
+// RestoreAddressSpaceInto is RestoreAddressSpace into an existing
+// AddressSpace value, whatever machine it last served: its VMA list's
+// capacity is reused and the rest of its state is replaced.
+func (k *Kernel) RestoreAddressSpaceInto(as *AddressSpace, s *AddressSpaceSnapshot) {
+	*as = AddressSpace{
 		k:             k,
 		pt:            pagetable.New(&k.nodes, s.root),
-		vmas:          append([]vma(nil), s.vmas...),
+		vmas:          append(as.vmas[:0], s.vmas...),
 		cursor:        s.cursor,
 		metaFrame:     s.metaFrame,
 		residentPages: s.residentPages,
@@ -264,4 +273,11 @@ func (k *Kernel) RestoreAddressSpace(s *AddressSpaceSnapshot) *AddressSpace {
 		vmasCreated:   s.vmasCreated,
 		base:          s,
 	}
+}
+
+// Detach drops the address space's state and its references to the kernel
+// it served, keeping only its VMA list's capacity for a later
+// RestoreAddressSpaceInto.
+func (as *AddressSpace) Detach() {
+	*as = AddressSpace{vmas: as.vmas[:0]}
 }

@@ -163,6 +163,8 @@ type Machine struct {
 	// base is the snapshot this machine was last captured to or restored
 	// from; re-capturing an untouched machine reuses it (O(1)).
 	base *Snapshot
+	// shootdown is tlbs.Shootdown, bound once rather than per process.
+	shootdown func(vpn uint64)
 }
 
 // New builds a machine from configuration.
@@ -172,13 +174,15 @@ func New(cfg config.Machine) (*Machine, error) {
 	}
 	d := dram.New(cfg.DRAM)
 	h := cache.NewHierarchy(cfg, d)
-	return &Machine{
+	m := &Machine{
 		cfg:  cfg,
 		d:    d,
 		h:    h,
 		k:    kernel.New(cfg, h),
 		tlbs: tlb.NewSystem(cfg),
-	}, nil
+	}
+	m.shootdown = m.tlbs.Shootdown
+	return m, nil
 }
 
 // Config returns the machine configuration.

@@ -23,28 +23,85 @@ type object struct {
 	liveIdx int  // position in process.liveList
 }
 
-// scratch is the per-run object table and live list. The suite replays tens
-// of traces with up to hundreds of thousands of objects each, so the tables
-// are pooled across runs instead of reallocated per run.
+// scratch is the per-run host state, pooled across runs instead of
+// reallocated per run: the object table and live list (the suite replays
+// tens of traces with up to hundreds of thousands of objects each), the
+// process record itself, and the state a run restored from a warm
+// checkpoint restores into — its address space, allocators, Memento unit
+// and page allocator, whose slabs keep their capacity from run to run. So
+// a steady-state warm run allocates (almost) nothing on the host. The
+// state lives here and not on a Machine: scratches are bounded by the runs
+// in flight, while machines are pooled per setup.
 type scratch struct {
 	objs     []object
 	liveList []int
+	proc     process
+
+	// Restore targets, built on first use.
+	as     kernel.AddressSpace
+	py     *softalloc.PyMalloc
+	je     *softalloc.JEMalloc
+	goa    *softalloc.GoAlloc
+	large  *softalloc.LargeAlloc
+	unit   *core.Unit
+	pa     *core.PageAllocator
+	lay    *core.Layout
+	layCfg config.MementoConfig
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// newScratch takes a pooled scratch and sizes its object table for n
-// objects, reusing the previous run's capacity when it suffices.
-func newScratch(n int) *scratch {
+// scratchProcess takes a pooled scratch, sizes its object table for tr's
+// objects (reusing the previous run's capacity when it suffices), and
+// returns its process record reset for a run of tr on m.
+func (m *Machine) scratchProcess(tr *trace.Trace, opt Options) *process {
 	s := scratchPool.Get().(*scratch)
+	n := tr.Objects
 	if cap(s.objs) < n {
 		s.objs = make([]object, n)
 	} else {
 		s.objs = s.objs[:n]
 		clear(s.objs)
 	}
-	s.liveList = s.liveList[:0]
-	return s
+	p := &s.proc
+	*p = process{m: m, tr: tr, opt: opt, scr: s, objs: s.objs, liveList: s.liveList[:0]}
+	p.mmu.p = p
+	return p
+}
+
+// layout returns the Memento region layout for cfg, built once per
+// configuration.
+func (s *scratch) layout(cfg config.MementoConfig) (*core.Layout, error) {
+	if s.lay == nil || s.layCfg != cfg {
+		lay, err := core.NewLayout(cfg, core.DefaultRegionStart, core.DefaultRegionBytes)
+		if err != nil {
+			return nil, err
+		}
+		s.lay, s.layCfg = lay, cfg
+	}
+	return s.lay, nil
+}
+
+// detach drops the restore targets' references to the machine they last
+// served, so a pooled scratch does not keep that machine alive; their
+// slabs stay.
+func (s *scratch) detach() {
+	var cfg config.Machine
+	s.as.Detach()
+	if s.py != nil {
+		s.py.Attach(cfg, nil, nil, nil)
+	}
+	if s.je != nil {
+		s.je.Attach(cfg, nil, nil, nil)
+	}
+	if s.goa != nil {
+		s.goa.Attach(cfg, nil, nil, nil)
+	}
+	if s.pa != nil {
+		s.pa.Attach(cfg, s.lay, nil, nil)
+		s.unit.Detach()
+		s.large.Attach(cfg, nil, nil, nil)
+	}
 }
 
 // process is a resumable execution of one trace on one stack.
@@ -54,7 +111,7 @@ type process struct {
 	opt Options
 
 	as  *kernel.AddressSpace
-	mmu *mmu
+	mmu mmu
 
 	// Baseline path.
 	alloc softalloc.Allocator
@@ -140,16 +197,8 @@ func (m *Machine) newProcess(tr *trace.Trace, opt Options) (*process, error) {
 	if err != nil {
 		return nil, simerr.Wrap(err, "process-setup")
 	}
-	scr := newScratch(tr.Objects)
-	p := &process{
-		m:        m,
-		tr:       tr,
-		opt:      opt,
-		as:       as,
-		scr:      scr,
-		objs:     scr.objs,
-		liveList: scr.liveList,
-	}
+	p := m.scratchProcess(tr, opt)
+	p.as = as
 	// fail reclaims every resource the partial setup acquired (satisfying
 	// the invariant that a failed newProcess restores FreeFrames).
 	fail := func(err error) (*process, error) {
@@ -157,8 +206,7 @@ func (m *Machine) newProcess(tr *trace.Trace, opt Options) (*process, error) {
 		p.release()
 		return nil, simerr.Wrap(err, "process-setup")
 	}
-	p.mmu = &mmu{p: p}
-	p.as.Shootdown = m.tlbs.Shootdown
+	p.as.Shootdown = m.shootdown
 	m.k.SetForcePopulate(opt.MmapPopulate)
 	m.attachProbe(opt.Probe)
 
@@ -166,15 +214,15 @@ func (m *Machine) newProcess(tr *trace.Trace, opt Options) (*process, error) {
 	case Baseline:
 		switch tr.Lang {
 		case trace.Python:
-			p.alloc = softalloc.NewPyMalloc(m.cfg, m.k, p.as, p.mmu)
+			p.alloc = softalloc.NewPyMalloc(m.cfg, m.k, p.as, &p.mmu)
 		case trace.Cpp:
 			jo := softalloc.DefaultJEMallocOpts()
 			if opt.JEMallocOpts != nil {
 				jo = *opt.JEMallocOpts
 			}
-			p.alloc = softalloc.NewJEMalloc(m.cfg, m.k, p.as, p.mmu, jo)
+			p.alloc = softalloc.NewJEMalloc(m.cfg, m.k, p.as, &p.mmu, jo)
 		case trace.Golang:
-			p.alloc = softalloc.NewGoAlloc(m.cfg, m.k, p.as, p.mmu)
+			p.alloc = softalloc.NewGoAlloc(m.cfg, m.k, p.as, &p.mmu)
 		default:
 			return fail(fmt.Errorf("machine: unknown language %v: %w", tr.Lang, simerr.ErrTraceInvalid))
 		}
@@ -199,15 +247,15 @@ func (m *Machine) newProcess(tr *trace.Trace, opt Options) (*process, error) {
 		if err != nil {
 			return fail(err)
 		}
-		pa.Shootdown = m.tlbs.Shootdown
+		pa.Shootdown = m.shootdown
 		pa.SetAllocHook(opt.AllocHook)
 		p.pa = pa
-		unit, err := core.NewUnit(m.cfg, lay, pa, m.h, p.mmu)
+		unit, err := core.NewUnit(m.cfg, lay, pa, m.h, &p.mmu)
 		if err != nil {
 			return fail(err)
 		}
 		p.unit = unit
-		p.large = softalloc.NewLargeAlloc(m.cfg, m.k, p.as, p.mmu)
+		p.large = softalloc.NewLargeAlloc(m.cfg, m.k, p.as, &p.mmu)
 	default:
 		return fail(fmt.Errorf("machine: unknown stack %v: %w", opt.Stack, simerr.ErrInvalidConfig))
 	}
@@ -237,17 +285,17 @@ func (m *Machine) newProcess(tr *trace.Trace, opt Options) (*process, error) {
 	return p, nil
 }
 
-// release returns the per-run scratch to the pool. The process must not
-// step or finish afterwards.
+// release returns the per-run scratch, the process record included, to the
+// pool. The process must not be used afterwards.
 func (p *process) release() {
-	if p.scr == nil {
+	s := p.scr
+	if s == nil {
 		return
 	}
-	p.scr.objs = p.objs
-	p.scr.liveList = p.liveList
-	scratchPool.Put(p.scr)
-	p.scr = nil
-	p.objs, p.liveList = nil, nil
+	s.objs, s.liveList = p.objs, p.liveList
+	s.proc = process{}
+	s.detach()
+	scratchPool.Put(s)
 }
 
 // destroy reclaims every physical frame the process holds without charging

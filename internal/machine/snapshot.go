@@ -174,10 +174,13 @@ func (p *process) captureState() *procSnapshot {
 // restoreProcess rebuilds a process from a post-setup snapshot without
 // charging any simulated cycles or allocating any simulated frames: the
 // machine snapshot restored alongside it already accounts for everything
-// setup did. It mirrors newProcess's wiring — per-run observation state
-// (probe attachment, fault-injection hooks, force-populate mode, the
-// timeline) comes from opt, not from the snapshot, so a restored run can be
-// observed differently from the run that was captured.
+// setup did. The state lands in the pooled scratch's address space,
+// allocators and Memento hardware, re-attached to m, so at steady state the
+// restore allocates nothing on the host. It mirrors newProcess's wiring —
+// per-run observation state (probe attachment, fault-injection hooks,
+// force-populate mode, the timeline) comes from opt, not from the snapshot,
+// so a restored run can be observed differently from the run that was
+// captured.
 func (m *Machine) restoreProcess(tr *trace.Trace, opt Options, ps *procSnapshot) (*process, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -190,19 +193,12 @@ func (m *Machine) restoreProcess(tr *trace.Trace, opt Options, ps *procSnapshot)
 	m.k.SetForcePopulate(opt.MmapPopulate)
 	m.attachProbe(opt.Probe)
 
-	as := m.k.RestoreAddressSpace(ps.as)
-	scr := newScratch(tr.Objects)
-	p := &process{
-		m:        m,
-		tr:       tr,
-		opt:      opt,
-		as:       as,
-		scr:      scr,
-		objs:     scr.objs,
-		liveList: scr.liveList,
-	}
-	p.mmu = &mmu{p: p}
-	as.Shootdown = m.tlbs.Shootdown
+	p := m.scratchProcess(tr, opt)
+	scr := p.scr
+	as := &scr.as
+	m.k.RestoreAddressSpaceInto(as, ps.as)
+	as.Shootdown = m.shootdown
+	p.as = as
 	// fail returns the scratch to the pool; the caller abandons the machine
 	// on error, so no simulated teardown is needed.
 	fail := func(err error) (*process, error) {
@@ -210,19 +206,28 @@ func (m *Machine) restoreProcess(tr *trace.Trace, opt Options, ps *procSnapshot)
 		return nil, err
 	}
 
+	// Restore into the scratch's allocators, attached to this machine.
 	switch ps.stack {
 	case Baseline:
 		switch tr.Lang {
 		case trace.Python:
-			p.alloc = softalloc.NewPyMalloc(m.cfg, m.k, as, p.mmu)
-		case trace.Cpp:
-			jo := softalloc.DefaultJEMallocOpts()
-			if opt.JEMallocOpts != nil {
-				jo = *opt.JEMallocOpts
+			if scr.py == nil {
+				scr.py = new(softalloc.PyMalloc)
 			}
-			p.alloc = softalloc.NewJEMalloc(m.cfg, m.k, as, p.mmu, jo)
+			scr.py.Attach(m.cfg, m.k, as, &p.mmu)
+			p.alloc = scr.py
+		case trace.Cpp:
+			if scr.je == nil {
+				scr.je = new(softalloc.JEMalloc)
+			}
+			scr.je.Attach(m.cfg, m.k, as, &p.mmu)
+			p.alloc = scr.je
 		case trace.Golang:
-			p.alloc = softalloc.NewGoAlloc(m.cfg, m.k, as, p.mmu)
+			if scr.goa == nil {
+				scr.goa = new(softalloc.GoAlloc)
+			}
+			scr.goa.Attach(m.cfg, m.k, as, &p.mmu)
+			p.alloc = scr.goa
 		default:
 			return fail(fmt.Errorf("machine: unknown language %v: %w", tr.Lang, simerr.ErrTraceInvalid))
 		}
@@ -230,24 +235,29 @@ func (m *Machine) restoreProcess(tr *trace.Trace, opt Options, ps *procSnapshot)
 			return fail(err)
 		}
 	case Memento:
-		lay, err := core.NewLayout(m.cfg.Memento, core.DefaultRegionStart, core.DefaultRegionBytes)
+		lay, err := scr.layout(m.cfg.Memento)
 		if err != nil {
 			return fail(err)
 		}
-		pa := core.RestorePageAllocator(m.cfg, lay, m.h, m.k, ps.pa)
-		pa.Shootdown = m.tlbs.Shootdown
+		if scr.pa == nil {
+			scr.pa, scr.unit, scr.large = new(core.PageAllocator), new(core.Unit), new(softalloc.LargeAlloc)
+		}
+		pa := scr.pa
+		pa.Attach(m.cfg, lay, m.h, m.k)
+		pa.Restore(ps.pa)
+		pa.Shootdown = m.shootdown
 		pa.SetAllocHook(opt.AllocHook)
 		p.pa = pa
-		unit, err := core.NewUnit(m.cfg, lay, pa, m.h, p.mmu)
-		if err != nil {
+		if err := scr.unit.Attach(m.cfg, lay, pa, m.h, &p.mmu); err != nil {
 			return fail(err)
 		}
-		unit.Restore(ps.unit)
-		p.unit = unit
-		p.large = softalloc.NewLargeAlloc(m.cfg, m.k, as, p.mmu)
-		if err := p.large.Restore(ps.large); err != nil {
+		scr.unit.Restore(ps.unit)
+		p.unit = scr.unit
+		scr.large.Attach(m.cfg, m.k, as, &p.mmu)
+		if err := scr.large.Restore(ps.large); err != nil {
 			return fail(err)
 		}
+		p.large = scr.large
 	}
 
 	p.b = ps.b

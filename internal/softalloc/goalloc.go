@@ -2,6 +2,7 @@ package softalloc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"memento/internal/config"
@@ -28,36 +29,52 @@ type goSpan struct {
 	base     uint64
 	class    int
 	objSize  uint64
-	capacity int
-	freeList []uint16
+	capacity int // 0 for a span lost to a failed metadata write
 	used     int
+	// free[fl:fl+nfree] holds the span's free object indices in the
+	// GoAlloc's shared slab, and bits[bm:] its owned bitmap (live objects).
+	fl, bm int32
+	nfree  int
 }
 
 // goArena is one 64 MiB reservation carved into spans on demand.
 type goArena struct {
 	base     uint64
 	nextSpan uint64
+	// span0 is the slab index of the arena's first span: spans are carved
+	// from the last arena only, so each arena's spans are consecutive.
+	span0 int32
 }
 
-// GoAlloc is the Go-runtime-style span allocator with mark-sweep GC.
+// GoAlloc is the Go-runtime-style span allocator with mark-sweep GC. Its
+// spans live by value in one slab, found from an object address through
+// its arena and the span offset within it.
 type GoAlloc struct {
 	env
-	arenas []*goArena
+	arenas []goArena
 	// mcache: spans with free slots per class (head is the active span).
-	mcache  [goNumClasses][]*goSpan
-	owner   map[uint64]*goSpan // object VA -> span
-	large   *LargeAlloc
+	mcache  [goNumClasses][]int32
+	spans   []goSpan
+	free    []uint16
+	bits    []uint64
+	large   LargeAlloc
 	stats   Stats
 	liveObj uint64
 }
 
 // NewGoAlloc creates the allocator.
 func NewGoAlloc(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) *GoAlloc {
-	return &GoAlloc{
-		env:   env{cfg: cfg, k: k, as: as, mem: mem},
-		owner: make(map[uint64]*goSpan),
-		large: NewLargeAlloc(cfg, k, as, mem),
-	}
+	g := new(GoAlloc)
+	g.Attach(cfg, k, as, mem)
+	return g
+}
+
+// Attach wires the allocator to a machine's configuration, kernel,
+// address space and memory, whatever it served before. Its state is kept
+// for a Restore to replace, which then reuses the slabs it holds.
+func (g *GoAlloc) Attach(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) {
+	g.env = env{cfg: cfg, k: k, as: as, mem: mem}
+	g.large.Attach(cfg, k, as, mem)
 }
 
 // Name implements Allocator.
@@ -81,7 +98,7 @@ func (g *GoAlloc) grow() (uint64, error) {
 		return cycles, fmt.Errorf("goalloc: heap arena: %w", err)
 	}
 	g.stats.ArenaMmaps++
-	g.arenas = append(g.arenas, &goArena{base: va})
+	g.arenas = append(g.arenas, goArena{base: va})
 	return cycles, nil
 }
 
@@ -90,6 +107,33 @@ func (g *GoAlloc) Stats() Stats { return g.stats }
 
 // LiveObjects returns the number of live small objects (GC mark set size).
 func (g *GoAlloc) LiveObjects() uint64 { return g.liveObj }
+
+// spanOf returns the span holding va and the object index va names, if va
+// is an object start in a carved span.
+func (g *GoAlloc) spanOf(va uint64) (sp int32, idx uint64, ok bool) {
+	// The last arena based at or below va.
+	i := sort.Search(len(g.arenas), func(i int) bool { return g.arenas[i].base > va })
+	if i == 0 {
+		return 0, 0, false
+	}
+	a := &g.arenas[i-1]
+	off := va - a.base
+	if off >= a.nextSpan {
+		return 0, 0, false
+	}
+	sp = a.span0 + int32(off/goSpanBytes)
+	span := &g.spans[sp]
+	rel := va - span.base
+	if span.capacity == 0 || rel%span.objSize != 0 || rel/span.objSize >= uint64(span.capacity) {
+		return 0, 0, false
+	}
+	return sp, rel / span.objSize, true
+}
+
+// owned returns the word and mask of object idx in span sp's bitmap.
+func (g *GoAlloc) owned(sp int32, idx uint64) (*uint64, uint64) {
+	return &g.bits[g.spans[sp].bm+int32(idx/64)], 1 << (idx % 64)
+}
 
 // Alloc implements Allocator: mcache span pop, plus object zeroing
 // (mallocgc zeroes memory, so a fresh object's lines are written here).
@@ -101,16 +145,18 @@ func (g *GoAlloc) Alloc(size uint64) (uint64, uint64, error) {
 	}
 	cls, clsSize := sizeClassOf(size, goClassStep, goMaxSmall)
 	cycles := g.instr(24) // mallocgc fast path
-	span, c, err := g.spanFor(cls)
+	sp, c, err := g.spanFor(cls)
 	cycles += c
 	if err != nil {
 		return 0, cycles, err
 	}
-	idx := span.freeList[len(span.freeList)-1]
-	span.freeList = span.freeList[:len(span.freeList)-1]
+	span := &g.spans[sp]
+	span.nfree--
+	idx := uint64(g.free[int(span.fl)+span.nfree])
 	span.used++
-	va := span.base + uint64(idx)*span.objSize
-	g.owner[va] = span
+	va := span.base + idx*span.objSize
+	w, m := g.owned(sp, idx)
+	*w |= m
 	g.liveObj++
 	// Zero the object (mallocgc needzero): overlapped stores, so the
 	// serialized per-line latencies are divided by the store MLP.
@@ -130,8 +176,8 @@ func (g *GoAlloc) Alloc(size uint64) (uint64, uint64, error) {
 		mlp = 4
 	}
 	cycles += zero / mlp
-	if len(span.freeList) == 0 {
-		g.popSpan(span)
+	if span.nfree == 0 {
+		g.popSpan(sp)
 	}
 	g.stats.FastPathHits++
 	g.stats.UserMMCycles += cycles
@@ -140,42 +186,54 @@ func (g *GoAlloc) Alloc(size uint64) (uint64, uint64, error) {
 
 // spanFor returns a span with a free slot, carving one from an arena on
 // demand (mcentral/mheap refill).
-func (g *GoAlloc) spanFor(cls int) (*goSpan, uint64, error) {
+func (g *GoAlloc) spanFor(cls int) (int32, uint64, error) {
 	if ss := g.mcache[cls]; len(ss) > 0 {
 		return ss[len(ss)-1], 0, nil
 	}
 	g.stats.SlowPathRuns++
 	var cycles uint64
 	cycles += g.instr(g.cfg.Cost.UserSlowPathInstrs)
-	arena := g.arenas[len(g.arenas)-1]
+	arena := &g.arenas[len(g.arenas)-1]
 	if arena.nextSpan+goSpanBytes > goArenaBytes {
 		c, err := g.grow()
 		cycles += c
 		if err != nil {
-			return nil, cycles, err
+			return 0, cycles, err
 		}
-		arena = g.arenas[len(g.arenas)-1]
+		arena = &g.arenas[len(g.arenas)-1]
+	}
+	if arena.nextSpan == 0 {
+		arena.span0 = int32(len(g.spans))
 	}
 	base := arena.base + arena.nextSpan
 	arena.nextSpan += goSpanBytes
-	objSize := uint64(cls+1) * goClassStep
-	span := &goSpan{base: base, class: cls, objSize: objSize, capacity: int(uint64(goSpanBytes) / objSize)}
-	for i := span.capacity - 1; i >= 0; i-- {
-		span.freeList = append(span.freeList, uint16(i))
-	}
-	// Span metadata init.
+	sp := int32(len(g.spans))
+	g.spans = append(g.spans, goSpan{base: base, class: cls, objSize: uint64(cls+1) * goClassStep})
+	// Span metadata init. A span whose write fails is lost: its slot stays
+	// in the slab with no capacity.
 	if err := g.access(&cycles, base, true); err != nil {
-		return nil, cycles, err
+		return 0, cycles, err
 	}
-	g.mcache[cls] = append(g.mcache[cls], span)
-	return span, cycles, nil
+	span := &g.spans[sp]
+	span.capacity = int(uint64(goSpanBytes) / span.objSize)
+	span.fl, span.nfree = int32(len(g.free)), span.capacity
+	g.free = grow(g.free, span.capacity)
+	for i := range g.free[span.fl:] {
+		g.free[int(span.fl)+i] = uint16(span.capacity - 1 - i)
+	}
+	span.bm = int32(len(g.bits))
+	g.bits = grow(g.bits, (span.capacity+63)/64)
+	clear(g.bits[span.bm:])
+	g.mcache[cls] = append(g.mcache[cls], sp)
+	return sp, cycles, nil
 }
 
-func (g *GoAlloc) popSpan(span *goSpan) {
-	ss := g.mcache[span.class]
+func (g *GoAlloc) popSpan(sp int32) {
+	cls := g.spans[sp].class
+	ss := g.mcache[cls]
 	for i, s := range ss {
-		if s == span {
-			g.mcache[span.class] = append(ss[:i], ss[i+1:]...)
+		if s == sp {
+			g.mcache[cls] = append(ss[:i], ss[i+1:]...)
 			return
 		}
 	}
@@ -189,16 +247,21 @@ func (g *GoAlloc) Free(va uint64) (uint64, error) {
 		g.stats.Frees++
 		return g.large.Free(va)
 	}
-	span, ok := g.owner[va]
+	sp, idx, ok := g.spanOf(va)
 	if !ok {
 		return 0, ErrBadFree
 	}
+	w, m := g.owned(sp, idx)
+	if *w&m == 0 {
+		return 0, ErrBadFree
+	}
 	g.stats.Frees++
-	idx := uint16((va - span.base) / span.objSize)
-	wasFull := len(span.freeList) == 0
-	span.freeList = append(span.freeList, idx)
+	span := &g.spans[sp]
+	wasFull := span.nfree == 0
+	g.free[int(span.fl)+span.nfree] = uint16(idx)
+	span.nfree++
 	span.used--
-	delete(g.owner, va)
+	*w &^= m
 	g.liveObj--
 	cycles := g.instr(9) // sweep clears the mark bit
 	if err := g.access(&cycles, span.base, true); err != nil {
@@ -207,7 +270,7 @@ func (g *GoAlloc) Free(va uint64) (uint64, error) {
 		return cycles, err
 	}
 	if wasFull {
-		g.mcache[span.class] = append(g.mcache[span.class], span)
+		g.mcache[span.class] = append(g.mcache[span.class], sp)
 	}
 	g.stats.UserMMCycles += cycles
 	g.stats.GCCycles += cycles
@@ -223,22 +286,27 @@ func (g *GoAlloc) MarkCost() (uint64, error) {
 	cycles += perObj * g.liveObj
 	// Touch a sample of live object headers through the hierarchy (cap the
 	// modeled traffic at 4096 accesses; marking is memory-bound but the
-	// trace-driven model only needs its magnitude). Iterate in address
-	// order so runs stay deterministic.
-	vas := make([]uint64, 0, len(g.owner))
-	for va := range g.owner {
-		vas = append(vas, va)
-	}
-	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
-	if len(vas) > 4096 {
-		vas = vas[:4096]
-	}
-	for _, va := range vas {
-		if err := g.access(&cycles, va, false); err != nil {
-			g.stats.GCCycles += cycles
-			g.stats.GCCollections++
-			g.stats.UserMMCycles += cycles
-			return cycles, err
+	// trace-driven model only needs its magnitude). Spans sit in the slab
+	// in address order, so walking their owned bitmaps visits the live
+	// objects in address order and runs stay deterministic.
+	sampled := 0
+spans:
+	for sp := range g.spans {
+		span := &g.spans[sp]
+		for wi, word := range g.bits[span.bm:][:(span.capacity+63)/64] {
+			for ; word != 0; word &= word - 1 {
+				if sampled == 4096 {
+					break spans
+				}
+				sampled++
+				idx := uint64(wi*64 + bits.TrailingZeros64(word))
+				if err := g.access(&cycles, span.base+idx*span.objSize, false); err != nil {
+					g.stats.GCCycles += cycles
+					g.stats.GCCollections++
+					g.stats.UserMMCycles += cycles
+					return cycles, err
+				}
+			}
 		}
 	}
 	g.stats.GCCycles += cycles
@@ -252,32 +320,23 @@ func (g *GoAlloc) SizeOf(va uint64) (uint64, bool) {
 	if g.large.Owns(va) {
 		return g.large.SizeOf(va)
 	}
-	span, ok := g.owner[va]
+	sp, idx, ok := g.spanOf(va)
 	if !ok {
 		return 0, false
 	}
-	return span.objSize, true
+	if w, m := g.owned(sp, idx); *w&m == 0 {
+		return 0, false
+	}
+	return g.spans[sp].objSize, true
 }
 
 // Occupancy implements Allocator: live objects over carved span slots.
-// The owner map tracks objects, not spans, so the span set is rebuilt from
-// the owner map plus the mcache lists.
+// Every carved span is in the mcache or full of live objects, so the slots
+// are the slab's whole capacity.
 func (g *GoAlloc) Occupancy() float64 {
 	var cap int
-	seen := map[*goSpan]bool{}
-	for _, span := range g.owner {
-		if !seen[span] {
-			seen[span] = true
-			cap += span.capacity
-		}
-	}
-	for _, spans := range g.mcache {
-		for _, span := range spans {
-			if !seen[span] {
-				seen[span] = true
-				cap += span.capacity
-			}
-		}
+	for i := range g.spans {
+		cap += g.spans[i].capacity
 	}
 	if cap == 0 {
 		return 0

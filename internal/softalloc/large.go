@@ -21,6 +21,13 @@ const (
 	largeMinBlock = 1024
 )
 
+// largeBins is the number of heap bins: orders largeMinOrder (1 KiB)
+// through log2(MmapThreshold).
+const (
+	largeMinOrder = 10
+	largeBins     = 17 - largeMinOrder + 1
+)
+
 // LargeAlloc models the glibc malloc path for requests above the
 // small-object threshold (Section 2.1: requests "larger than 512 bytes by
 // default are directly serviced by malloc in glibc, which eventually calls
@@ -30,22 +37,39 @@ type LargeAlloc struct {
 	env
 	// bumpVA/endVA delimit unused heap space in the current chunk.
 	bumpVA, endVA uint64
-	// bins[o] holds free blocks of size 1<<o.
-	bins map[uint]([]uint64)
-	// blocks maps live VA -> rounded block size.
-	blocks map[uint64]uint64
-	// mmapped marks live direct-mmap blocks.
-	mmapped map[uint64]bool
+	// bins[i] holds free blocks of size 1<<(largeMinOrder+i); binSeen has
+	// bit i set once bins[i] has held a block.
+	bins    [largeBins][]uint64
+	binSeen uint32
+	// blocks maps live VA -> rounded block size and direct-mmap flag; it
+	// is the one map an allocator keeps (live large blocks sit at arbitrary
+	// VAs), and a restore refills it in place. mmapped counts the
+	// direct-mmap blocks.
+	blocks  map[uint64]largeBlock
+	mmapped int
 	stats   Stats
+}
+
+// largeBlock is one live large block.
+type largeBlock struct {
+	size    uint64
+	mmapped bool
 }
 
 // NewLargeAlloc creates the large-object path.
 func NewLargeAlloc(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) *LargeAlloc {
-	return &LargeAlloc{
-		env:     env{cfg: cfg, k: k, as: as, mem: mem},
-		bins:    make(map[uint][]uint64),
-		blocks:  make(map[uint64]uint64),
-		mmapped: make(map[uint64]bool),
+	l := new(LargeAlloc)
+	l.Attach(cfg, k, as, mem)
+	return l
+}
+
+// Attach wires the allocator to a machine's configuration, kernel,
+// address space and memory, whatever it served before. Its state is kept
+// for a Restore to replace, which then reuses the capacity it holds.
+func (l *LargeAlloc) Attach(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) {
+	l.env = env{cfg: cfg, k: k, as: as, mem: mem}
+	if l.blocks == nil {
+		l.blocks = make(map[uint64]largeBlock)
 	}
 }
 
@@ -61,7 +85,7 @@ func (l *LargeAlloc) Stats() Stats { return l.stats }
 // binOf returns the power-of-two bin for a size.
 func binOf(size uint64) (order uint, block uint64) {
 	block = largeMinBlock
-	order = 10 // log2(1024)
+	order = largeMinOrder
 	for block < size {
 		block <<= 1
 		order++
@@ -80,18 +104,19 @@ func (l *LargeAlloc) Alloc(size uint64) (uint64, uint64, error) {
 			return 0, cycles, fmt.Errorf("glibc-large: direct mmap: %w", err)
 		}
 		l.stats.ArenaMmaps++
-		l.blocks[va] = length
-		l.mmapped[va] = true
+		l.blocks[va] = largeBlock{size: length, mmapped: true}
+		l.mmapped++
 		cycles += l.instr(120)
 		l.stats.UserMMCycles += cycles
 		return va, cycles, nil
 	}
 	order, block := binOf(size)
 	cycles := l.instr(70) // bin selection, chunk bookkeeping
-	if free := l.bins[order]; len(free) > 0 {
-		va := free[len(free)-1]
-		l.bins[order] = free[:len(free)-1]
-		l.blocks[va] = block
+	bin := &l.bins[order-largeMinOrder]
+	if n := len(*bin); n > 0 {
+		va := (*bin)[n-1]
+		*bin = (*bin)[:n-1]
+		l.blocks[va] = largeBlock{size: block}
 		// Chunk header write.
 		if err := l.access(&cycles, va, true); err != nil {
 			l.stats.UserMMCycles += cycles
@@ -117,7 +142,7 @@ func (l *LargeAlloc) Alloc(size uint64) (uint64, uint64, error) {
 	}
 	va := l.bumpVA
 	l.bumpVA += block
-	l.blocks[va] = block
+	l.blocks[va] = largeBlock{size: block}
 	// Write the chunk header.
 	if err := l.access(&cycles, va, true); err != nil {
 		l.stats.UserMMCycles += cycles
@@ -130,15 +155,15 @@ func (l *LargeAlloc) Alloc(size uint64) (uint64, uint64, error) {
 // Free implements Allocator: heap blocks go back to their bin; direct-mmap
 // blocks are unmapped.
 func (l *LargeAlloc) Free(va uint64) (uint64, error) {
-	size, ok := l.blocks[va]
+	b, ok := l.blocks[va]
 	if !ok {
 		return 0, ErrBadFree
 	}
 	delete(l.blocks, va)
 	l.stats.Frees++
-	if l.mmapped[va] {
-		delete(l.mmapped, va)
-		cycles, err := l.k.Munmap(l.as, va, size)
+	if b.mmapped {
+		l.mmapped--
+		cycles, err := l.k.Munmap(l.as, va, b.size)
 		if err != nil {
 			return cycles, err
 		}
@@ -152,8 +177,10 @@ func (l *LargeAlloc) Free(va uint64) (uint64, error) {
 		l.stats.UserMMCycles += cycles
 		return cycles, err
 	}
-	order, _ := binOf(size)
-	l.bins[order] = append(l.bins[order], va)
+	order, _ := binOf(b.size)
+	i := order - largeMinOrder
+	l.bins[i] = append(l.bins[i], va)
+	l.binSeen |= 1 << i
 	l.stats.UserMMCycles += cycles
 	return cycles, nil
 }
@@ -166,19 +193,19 @@ func (l *LargeAlloc) Owns(va uint64) bool {
 
 // SizeOf implements Allocator.
 func (l *LargeAlloc) SizeOf(va uint64) (uint64, bool) {
-	size, ok := l.blocks[va]
-	return size, ok
+	b, ok := l.blocks[va]
+	return b.size, ok
 }
 
 // Occupancy implements Allocator: live bytes over held heap bytes.
 func (l *LargeAlloc) Occupancy() float64 {
 	var live, held uint64
-	for _, size := range l.blocks {
-		live += size
-		held += size
+	for _, b := range l.blocks {
+		live += b.size
+		held += b.size
 	}
-	for order, frees := range l.bins {
-		held += uint64(len(frees)) << order
+	for i, frees := range l.bins {
+		held += uint64(len(frees)) << (largeMinOrder + i)
 	}
 	if held == 0 {
 		return 0

@@ -2,6 +2,7 @@ package softalloc
 
 import (
 	"fmt"
+	"sort"
 
 	"memento/internal/config"
 	"memento/internal/kernel"
@@ -20,19 +21,27 @@ const (
 	pyPoolsPerAren = pyArenaBytes / pyPoolBytes
 )
 
-// pyPool is one 4 KiB pool serving a single size class.
+// pyFreeStride is the free-list region each pool takes in the shared slab:
+// room for the largest pool capacity, (4096-48)/8 = 506 objects.
+const pyFreeStride = 512
+
+// pyPool is one 4 KiB pool serving a single size class. Arena slot a's
+// pools are PyMalloc.pools[a*pyPoolsPerAren:][:pyPoolsPerAren].
 type pyPool struct {
 	base     uint64 // VA of the pool (header at base)
-	arena    *pyArena
+	arena    int32  // arena slot
 	class    int
 	objSize  uint64
-	capacity int
-	// freeList holds free object indices; the head lives in the pool header
-	// and links thread through the free objects themselves, which is what
-	// the modeled memory accesses touch.
-	freeList []uint16
-	// allocated tracks per-object state for double-free detection.
-	allocated []bool
+	capacity int // 0 until the pool is first bound to a class
+	// free[fl:fl+nfree] holds the free object indices, in the PyMalloc's
+	// shared slab (fl is -1 until the slot first needs a region); the head
+	// lives in the pool header and links thread through the free objects
+	// themselves, which is what the modeled memory accesses touch.
+	fl    int32
+	nfree int
+	// allocated has bit i set while object i is live (double-free
+	// detection).
+	allocated [pyFreeStride / 64]uint64
 	// used counts live objects.
 	used int
 	// inUsedList marks membership of the per-class used-pool list.
@@ -44,28 +53,41 @@ type pyPool struct {
 // pyArena is a 256 KiB mmap'd region split into pools.
 type pyArena struct {
 	base      uint64
-	pools     []*pyPool
 	freePools int
 }
 
-// PyMalloc is the CPython-style small-object allocator.
+// PyMalloc is the CPython-style small-object allocator. Arenas and pools
+// live by value in slabs indexed by int32 slot; vacated arena slots are
+// reused with their pools' free-list regions.
 type PyMalloc struct {
 	env
-	usedPools [pyNumClasses][]*pyPool
-	freePools []*pyPool
-	arenas    []*pyArena
-	poolByVA  map[uint64]*pyPool
-	large     *LargeAlloc
-	stats     Stats
+	usedPools [pyNumClasses][]int32
+	freePools []int32
+	// arenas and pools are the slabs; live lists the mapped arenas' slots
+	// in address order (mmap addresses only grow), vacant the free slots.
+	arenas []pyArena
+	pools  []pyPool
+	live   []int32
+	vacant []int32
+	// free is the slab every pool's free list lives in.
+	free  []uint16
+	large LargeAlloc
+	stats Stats
 }
 
 // NewPyMalloc creates the allocator for one process.
 func NewPyMalloc(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) *PyMalloc {
-	return &PyMalloc{
-		env:      env{cfg: cfg, k: k, as: as, mem: mem},
-		poolByVA: make(map[uint64]*pyPool),
-		large:    NewLargeAlloc(cfg, k, as, mem),
-	}
+	p := new(PyMalloc)
+	p.Attach(cfg, k, as, mem)
+	return p
+}
+
+// Attach wires the allocator to a machine's configuration, kernel,
+// address space and memory, whatever it served before. Its state is kept
+// for a Restore to replace, which then reuses the slabs it holds.
+func (p *PyMalloc) Attach(cfg config.Machine, k *kernel.Kernel, as *kernel.AddressSpace, mem VMem) {
+	p.env = env{cfg: cfg, k: k, as: as, mem: mem}
+	p.large.Attach(cfg, k, as, mem)
 }
 
 // Name implements Allocator.
@@ -92,16 +114,17 @@ func (p *PyMalloc) Alloc(size uint64) (uint64, uint64, error) {
 	cls, _ := sizeClassOf(size, pyClassStep, pyMaxSmall)
 	cycles := p.instr(p.cfg.Cost.UserAllocFastPathInstrs)
 
-	pool, c, err := p.poolFor(cls)
+	pi, c, err := p.poolFor(cls)
 	cycles += c
 	if err != nil {
 		return 0, cycles, err
 	}
+	pool := &p.pools[pi]
 	// Pop the free-list head: read the pool header, read the free object's
 	// embedded next-link, write the header back.
-	idx := pool.freeList[len(pool.freeList)-1]
-	pool.freeList = pool.freeList[:len(pool.freeList)-1]
-	pool.allocated[idx] = true
+	pool.nfree--
+	idx := p.free[int(pool.fl)+pool.nfree]
+	pool.allocated[idx/64] |= 1 << (idx % 64)
 	pool.used++
 	va := pool.objectVA(int(idx))
 	for _, acc := range [...]struct {
@@ -113,9 +136,9 @@ func (p *PyMalloc) Alloc(size uint64) (uint64, uint64, error) {
 			return 0, cycles, err
 		}
 	}
-	if len(pool.freeList) == 0 {
+	if pool.nfree == 0 {
 		// Pool is now full: unlink from the used list.
-		p.removeUsed(pool)
+		p.removeUsed(pi)
 		cycles += p.instr(12)
 	}
 	p.stats.FastPathHits++
@@ -130,7 +153,7 @@ func (pl *pyPool) objectVA(idx int) uint64 {
 
 // poolFor returns a pool with at least one free object for the class,
 // refilling from the free-pool list or a fresh arena as needed.
-func (p *PyMalloc) poolFor(cls int) (*pyPool, uint64, error) {
+func (p *PyMalloc) poolFor(cls int) (int32, uint64, error) {
 	var cycles uint64
 	if pools := p.usedPools[cls]; len(pools) > 0 {
 		return pools[len(pools)-1], 0, nil
@@ -141,31 +164,37 @@ func (p *PyMalloc) poolFor(cls int) (*pyPool, uint64, error) {
 		c, err := p.newArena()
 		cycles += c
 		if err != nil {
-			return nil, cycles, err
+			return 0, cycles, err
 		}
 	}
-	pool := p.freePools[len(p.freePools)-1]
+	pi := p.freePools[len(p.freePools)-1]
 	p.freePools = p.freePools[:len(p.freePools)-1]
-	pool.arena.freePools--
+	pool := &p.pools[pi]
+	p.arenas[pool.arena].freePools--
 	// Initialize the pool header for this class; the header write faults in
 	// the pool's first page on a fresh arena.
 	objSize := uint64(cls+1) * pyClassStep
 	pool.class = cls
 	pool.objSize = objSize
 	pool.capacity = (pyPoolBytes - pyPoolHeader) / int(objSize)
-	pool.freeList = pool.freeList[:0]
-	for i := pool.capacity - 1; i >= 0; i-- {
-		pool.freeList = append(pool.freeList, uint16(i))
+	if pool.fl < 0 {
+		pool.fl = int32(len(p.free))
+		p.free = grow(p.free, pyFreeStride)
 	}
-	pool.allocated = make([]bool, pool.capacity)
+	fl := p.free[pool.fl:][:pool.capacity]
+	for i := range fl {
+		fl[i] = uint16(pool.capacity - 1 - i)
+	}
+	pool.nfree = pool.capacity
+	pool.allocated = [pyFreeStride / 64]uint64{}
 	pool.used = 0
 	pool.assigned = true
 	if err := p.access(&cycles, pool.base, true); err != nil {
-		return nil, cycles, err
+		return 0, cycles, err
 	}
-	p.usedPools[cls] = append(p.usedPools[cls], pool)
+	p.usedPools[cls] = append(p.usedPools[cls], pi)
 	pool.inUsedList = true
-	return pool, cycles, nil
+	return pi, cycles, nil
 }
 
 // newArena mmaps a fresh 256 KiB arena and splits it into free pools.
@@ -175,28 +204,54 @@ func (p *PyMalloc) newArena() (uint64, error) {
 		return cycles, fmt.Errorf("pymalloc: new arena: %w", err)
 	}
 	p.stats.ArenaMmaps++
-	a := &pyArena{base: va, freePools: pyPoolsPerAren}
-	for i := 0; i < pyPoolsPerAren; i++ {
-		pool := &pyPool{base: va + uint64(i)*pyPoolBytes, arena: a}
-		a.pools = append(a.pools, pool)
-		p.poolByVA[pool.base] = pool
-		p.freePools = append(p.freePools, pool)
+	var a int32
+	if n := len(p.vacant); n > 0 {
+		a = p.vacant[n-1]
+		p.vacant = p.vacant[:n-1]
+	} else {
+		a = int32(len(p.arenas))
+		p.arenas = append(p.arenas, pyArena{})
+		for i := 0; i < pyPoolsPerAren; i++ {
+			p.pools = append(p.pools, pyPool{fl: -1})
+		}
 	}
-	p.arenas = append(p.arenas, a)
+	p.arenas[a] = pyArena{base: va, freePools: pyPoolsPerAren}
+	for i := 0; i < pyPoolsPerAren; i++ {
+		pi := a*pyPoolsPerAren + int32(i)
+		p.pools[pi] = pyPool{base: va + uint64(i)*pyPoolBytes, arena: a, fl: p.pools[pi].fl}
+		p.freePools = append(p.freePools, pi)
+	}
+	p.live = append(p.live, a)
 	cycles += p.instr(120) // arena bookkeeping
 	return cycles, nil
 }
 
 // removeUsed unlinks a pool from its class's used list.
-func (p *PyMalloc) removeUsed(pool *pyPool) {
+func (p *PyMalloc) removeUsed(pi int32) {
+	pool := &p.pools[pi]
 	pools := p.usedPools[pool.class]
 	for i, q := range pools {
-		if q == pool {
+		if q == pi {
 			p.usedPools[pool.class] = append(pools[:i], pools[i+1:]...)
 			break
 		}
 	}
 	pool.inUsedList = false
+}
+
+// poolOf returns the pool of a mapped arena whose 4 KiB range holds va.
+func (p *PyMalloc) poolOf(va uint64) (int32, bool) {
+	// The last live arena based at or below va.
+	i := sort.Search(len(p.live), func(i int) bool { return p.arenas[p.live[i]].base > va })
+	if i == 0 {
+		return 0, false
+	}
+	a := p.live[i-1]
+	off := va - p.arenas[a].base
+	if off >= pyArenaBytes {
+		return 0, false
+	}
+	return a*pyPoolsPerAren + int32(off/pyPoolBytes), true
 }
 
 // Free implements Allocator, following Fig 1 step 5: align down to the pool,
@@ -208,15 +263,16 @@ func (p *PyMalloc) Free(va uint64) (uint64, error) {
 		return p.large.Free(va)
 	}
 	poolBase := va &^ uint64(pyPoolBytes-1)
-	pool, ok := p.poolByVA[poolBase]
-	if !ok || !pool.assigned {
+	pi, ok := p.poolOf(poolBase)
+	if !ok || !p.pools[pi].assigned {
 		return 0, ErrBadFree
 	}
+	pool := &p.pools[pi]
 	idx := (va - poolBase - pyPoolHeader) / pool.objSize
-	if int(idx) >= pool.capacity || pool.objectVA(int(idx)) != va || !pool.allocated[idx] {
+	if int(idx) >= pool.capacity || pool.objectVA(int(idx)) != va || pool.allocated[idx/64]&(1<<(idx%64)) == 0 {
 		return 0, ErrBadFree
 	}
-	pool.allocated[idx] = false
+	pool.allocated[idx/64] &^= 1 << (idx % 64)
 	p.stats.Frees++
 	cycles := p.instr(p.cfg.Cost.UserFreeFastPathInstrs)
 	// Link into the free list: write the object's next-link, update header.
@@ -227,22 +283,24 @@ func (p *PyMalloc) Free(va uint64) (uint64, error) {
 		return cycles, err
 	}
 
-	wasFull := len(pool.freeList) == 0
-	pool.freeList = append(pool.freeList, uint16(idx))
+	wasFull := pool.nfree == 0
+	p.free[int(pool.fl)+pool.nfree] = uint16(idx)
+	pool.nfree++
 	pool.used--
 	if wasFull {
-		p.usedPools[pool.class] = append(p.usedPools[pool.class], pool)
+		p.usedPools[pool.class] = append(p.usedPools[pool.class], pi)
 		pool.inUsedList = true
 		cycles += p.instr(12)
 	}
 	if pool.used == 0 {
 		// Entirely free: return the pool to the free-pool list.
-		p.removeUsed(pool)
+		p.removeUsed(pi)
 		pool.assigned = false
-		p.freePools = append(p.freePools, pool)
-		pool.arena.freePools++
+		p.freePools = append(p.freePools, pi)
+		a := &p.arenas[pool.arena]
+		a.freePools++
 		cycles += p.instr(30)
-		if pool.arena.freePools == pyPoolsPerAren {
+		if a.freePools == pyPoolsPerAren {
 			c, err := p.releaseArena(pool.arena)
 			cycles += c
 			if err != nil {
@@ -256,28 +314,27 @@ func (p *PyMalloc) Free(va uint64) (uint64, error) {
 
 // releaseArena munmaps a fully-free arena (Fig 1: "if all pools in an arena
 // become free, the allocator returns its memory by calling munmap").
-func (p *PyMalloc) releaseArena(a *pyArena) (uint64, error) {
-	cycles, err := p.k.Munmap(p.as, a.base, pyArenaBytes)
+func (p *PyMalloc) releaseArena(a int32) (uint64, error) {
+	cycles, err := p.k.Munmap(p.as, p.arenas[a].base, pyArenaBytes)
 	if err != nil {
 		return cycles, err
 	}
 	p.stats.ArenaMunmaps++
-	for _, pool := range a.pools {
-		delete(p.poolByVA, pool.base)
-		// Drop from the free-pool list.
-		for i, q := range p.freePools {
-			if q == pool {
-				p.freePools = append(p.freePools[:i], p.freePools[i+1:]...)
-				break
-			}
+	// Drop its pools from the free-pool list, keeping the others' order.
+	kept := p.freePools[:0]
+	for _, pi := range p.freePools {
+		if pi/pyPoolsPerAren != a {
+			kept = append(kept, pi)
 		}
 	}
-	for i, ar := range p.arenas {
-		if ar == a {
-			p.arenas = append(p.arenas[:i], p.arenas[i+1:]...)
+	p.freePools = kept
+	for i, q := range p.live {
+		if q == a {
+			p.live = append(p.live[:i], p.live[i+1:]...)
 			break
 		}
 	}
+	p.vacant = append(p.vacant, a)
 	return cycles, nil
 }
 
@@ -286,23 +343,24 @@ func (p *PyMalloc) SizeOf(va uint64) (uint64, bool) {
 	if p.large.Owns(va) {
 		return p.large.SizeOf(va)
 	}
-	poolBase := va &^ uint64(pyPoolBytes-1)
-	pool, ok := p.poolByVA[poolBase]
-	if !ok || !pool.assigned {
+	pi, ok := p.poolOf(va &^ uint64(pyPoolBytes-1))
+	if !ok || !p.pools[pi].assigned {
 		return 0, false
 	}
-	return pool.objSize, true
+	return p.pools[pi].objSize, true
 }
 
 // Occupancy implements Allocator: live objects over slots of assigned pools.
 func (p *PyMalloc) Occupancy() float64 {
 	var used, cap int
-	for _, pool := range p.poolByVA {
-		if !pool.assigned {
-			continue
+	for _, a := range p.live {
+		pools := p.pools[a*pyPoolsPerAren:][:pyPoolsPerAren]
+		for i := range pools {
+			if pools[i].assigned {
+				used += pools[i].used
+				cap += pools[i].capacity
+			}
 		}
-		used += pool.used
-		cap += pool.capacity
 	}
 	if cap == 0 {
 		return 0

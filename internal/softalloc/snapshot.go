@@ -2,13 +2,17 @@ package softalloc
 
 import "fmt"
 
-// The software allocators keep their state in pointer graphs (pools linked
-// from arenas and per-class lists, runs shared between free lists and owner
-// maps). Snapshots clone those graphs with identity maps so shared pointers
-// stay shared, and every Restore clones again from the snapshot — a snapshot
-// is immutable and can seed any number of allocators. Environment wiring
-// (kernel, address space, VMem) is never captured: a restored allocator
-// keeps the environment it was constructed with.
+// The software allocators keep their state in value slabs indexed by int32
+// (pools and arenas, runs and chunks, spans and arenas, the shared
+// free-list and bitmap slabs), so a snapshot is a copy of those slices and
+// a restore copies them back into the capacity the allocator already holds:
+// a pooled allocator restored at steady state allocates nothing. The one
+// map, the large path's live blocks, is cleared and refilled in place. A
+// snapshot is immutable and can seed any number of allocators. Environment
+// wiring (kernel, address space, VMem) is never captured: a restored
+// allocator keeps the environment it was last attached to.
+//
+// Snapshot sizes are metered by the model below, counted once at capture.
 
 func errSnapshotType(name string, s AllocSnapshot) error {
 	return fmt.Errorf("softalloc: %s: restore of foreign snapshot %T", name, s)
@@ -21,66 +25,64 @@ const saStatsBytes = 10 * 8
 
 type largeSnapshot struct {
 	bumpVA, endVA uint64
-	bins          map[uint][]uint64
-	blocks        map[uint64]uint64
-	mmapped       map[uint64]bool
+	bins          [largeBins][]uint64
+	binSeen       uint32
+	blocks        []largeEntry
+	mmapped       int
 	stats         Stats
+	bytes         uint64
+}
+
+// largeEntry is one live block in a snapshot.
+type largeEntry struct {
+	va uint64
+	b  largeBlock
 }
 
 func (*largeSnapshot) allocSnapshot() {}
 
-// Bytes implements AllocSnapshot: bump cursors, the per-order bins, the
-// block and mmap maps, and the counters.
-func (s *largeSnapshot) Bytes() uint64 {
-	b := uint64(2*8) + saStatsBytes
-	for _, vs := range s.bins {
-		b += 8 + uint64(len(vs))*8
-	}
-	b += uint64(len(s.blocks)) * 16
-	b += uint64(len(s.mmapped)) * 9
-	return b
-}
+// Bytes implements AllocSnapshot: bump cursors, the bins that have held a
+// block, the live blocks with their mmap flags, and the counters.
+func (s *largeSnapshot) Bytes() uint64 { return s.bytes }
 
-func cloneLarge(l *LargeAlloc) *largeSnapshot {
+func (l *LargeAlloc) snapshot() *largeSnapshot {
 	s := &largeSnapshot{
 		bumpVA:  l.bumpVA,
 		endVA:   l.endVA,
-		bins:    make(map[uint][]uint64, len(l.bins)),
-		blocks:  make(map[uint64]uint64, len(l.blocks)),
-		mmapped: make(map[uint64]bool, len(l.mmapped)),
+		binSeen: l.binSeen,
+		blocks:  make([]largeEntry, 0, len(l.blocks)),
+		mmapped: l.mmapped,
 		stats:   l.stats,
 	}
-	for o, vs := range l.bins {
-		s.bins[o] = append([]uint64(nil), vs...)
+	s.bytes = 2*8 + saStatsBytes + uint64(len(l.blocks))*16 + uint64(l.mmapped)*9
+	for i := range l.bins {
+		s.bins[i] = append([]uint64(nil), l.bins[i]...)
+		if l.binSeen&(1<<i) != 0 {
+			s.bytes += 8 + uint64(len(l.bins[i]))*8
+		}
 	}
-	for va, sz := range l.blocks {
-		s.blocks[va] = sz
-	}
-	for va, v := range l.mmapped {
-		s.mmapped[va] = v
+	for va, b := range l.blocks {
+		s.blocks = append(s.blocks, largeEntry{va, b})
 	}
 	return s
 }
 
-func (l *LargeAlloc) restoreLarge(s *largeSnapshot) {
+func (l *LargeAlloc) restore(s *largeSnapshot) {
 	l.bumpVA, l.endVA = s.bumpVA, s.endVA
-	l.bins = make(map[uint][]uint64, len(s.bins))
-	for o, vs := range s.bins {
-		l.bins[o] = append([]uint64(nil), vs...)
+	for i := range l.bins {
+		l.bins[i] = append(l.bins[i][:0], s.bins[i]...)
 	}
-	l.blocks = make(map[uint64]uint64, len(s.blocks))
-	for va, sz := range s.blocks {
-		l.blocks[va] = sz
+	l.binSeen = s.binSeen
+	clear(l.blocks)
+	for _, e := range s.blocks {
+		l.blocks[e.va] = e.b
 	}
-	l.mmapped = make(map[uint64]bool, len(s.mmapped))
-	for va, v := range s.mmapped {
-		l.mmapped[va] = v
-	}
+	l.mmapped = s.mmapped
 	l.stats = s.stats
 }
 
 // Snapshot implements Allocator.
-func (l *LargeAlloc) Snapshot() AllocSnapshot { return cloneLarge(l) }
+func (l *LargeAlloc) Snapshot() AllocSnapshot { return l.snapshot() }
 
 // Restore implements Allocator.
 func (l *LargeAlloc) Restore(s AllocSnapshot) error {
@@ -88,18 +90,23 @@ func (l *LargeAlloc) Restore(s AllocSnapshot) error {
 	if !ok {
 		return errSnapshotType(l.Name(), s)
 	}
-	l.restoreLarge(ls)
+	l.restore(ls)
 	return nil
 }
 
 // ---- pymalloc ----
 
 type pySnapshot struct {
-	arenas    []*pyArena
-	usedPools [pyNumClasses][]*pyPool
-	freePools []*pyPool
+	usedPools [pyNumClasses][]int32
+	freePools []int32
+	arenas    []pyArena
+	pools     []pyPool
+	live      []int32
+	vacant    []int32
+	free      []uint16
 	large     *largeSnapshot
 	stats     Stats
+	bytes     uint64
 }
 
 func (*pySnapshot) allocSnapshot() {}
@@ -108,77 +115,34 @@ func (*pySnapshot) allocSnapshot() {}
 // capacity, used, and the two list flags.
 const pyPoolSnapBytes = 5*8 + 2
 
-// Bytes implements AllocSnapshot: the arena/pool graph, the used/free pool
-// lists, the embedded large-path snapshot, and the counters.
-func (s *pySnapshot) Bytes() uint64 {
-	b := s.large.Bytes() + saStatsBytes
-	for _, a := range s.arenas {
-		b += 2 * 8 // base + freePools
-		for _, pl := range a.pools {
-			b += pyPoolSnapBytes + uint64(len(pl.freeList))*2 + uint64(len(pl.allocated))
-		}
-	}
-	for cls := range s.usedPools {
-		b += uint64(len(s.usedPools[cls])) * 8
-	}
-	b += uint64(len(s.freePools)) * 8
-	return b
-}
-
-// clonePyArenas deep-copies the arena/pool graph, returning the clones and
-// the pool identity map used to remap list pointers. Every pool belongs to
-// exactly one live arena, so the arena list is the universal pool set.
-func clonePyArenas(arenas []*pyArena) ([]*pyArena, map[*pyPool]*pyPool) {
-	m := make(map[*pyPool]*pyPool)
-	out := make([]*pyArena, len(arenas))
-	for i, a := range arenas {
-		na := &pyArena{base: a.base, freePools: a.freePools}
-		na.pools = make([]*pyPool, len(a.pools))
-		for pi, pl := range a.pools {
-			np := &pyPool{
-				base:       pl.base,
-				arena:      na,
-				class:      pl.class,
-				objSize:    pl.objSize,
-				capacity:   pl.capacity,
-				freeList:   append([]uint16(nil), pl.freeList...),
-				used:       pl.used,
-				inUsedList: pl.inUsedList,
-				assigned:   pl.assigned,
-			}
-			if pl.allocated != nil {
-				np.allocated = append([]bool(nil), pl.allocated...)
-			}
-			na.pools[pi] = np
-			m[pl] = np
-		}
-		out[i] = na
-	}
-	return out, m
-}
-
-func mapPyPools(pools []*pyPool, m map[*pyPool]*pyPool) []*pyPool {
-	if pools == nil {
-		return nil
-	}
-	out := make([]*pyPool, len(pools))
-	for i, pl := range pools {
-		out[i] = m[pl]
-	}
-	return out
-}
+// Bytes implements AllocSnapshot: the mapped arenas and their pools (each
+// with its free list and, once bound to a class, a live flag per slot), the
+// used/free pool lists, the embedded large-path snapshot, and the counters.
+func (s *pySnapshot) Bytes() uint64 { return s.bytes }
 
 // Snapshot implements Allocator.
 func (p *PyMalloc) Snapshot() AllocSnapshot {
-	arenas, m := clonePyArenas(p.arenas)
 	s := &pySnapshot{
-		arenas:    arenas,
-		freePools: mapPyPools(p.freePools, m),
-		large:     cloneLarge(p.large),
+		freePools: append([]int32(nil), p.freePools...),
+		arenas:    append([]pyArena(nil), p.arenas...),
+		pools:     append([]pyPool(nil), p.pools...),
+		live:      append([]int32(nil), p.live...),
+		vacant:    append([]int32(nil), p.vacant...),
+		free:      append([]uint16(nil), p.free...),
+		large:     p.large.snapshot(),
 		stats:     p.stats,
 	}
+	s.bytes = s.large.Bytes() + saStatsBytes + uint64(len(p.freePools))*8
 	for cls := range p.usedPools {
-		s.usedPools[cls] = mapPyPools(p.usedPools[cls], m)
+		s.usedPools[cls] = append([]int32(nil), p.usedPools[cls]...)
+		s.bytes += uint64(len(p.usedPools[cls])) * 8
+	}
+	for _, a := range p.live {
+		s.bytes += 2 * 8 // base + freePools
+		pools := p.pools[a*pyPoolsPerAren:][:pyPoolsPerAren]
+		for i := range pools {
+			s.bytes += pyPoolSnapBytes + uint64(pools[i].nfree)*2 + uint64(pools[i].capacity)
+		}
 	}
 	return s
 }
@@ -189,19 +153,16 @@ func (p *PyMalloc) Restore(s AllocSnapshot) error {
 	if !ok {
 		return errSnapshotType(p.Name(), s)
 	}
-	arenas, m := clonePyArenas(ps.arenas)
-	p.arenas = arenas
-	p.freePools = mapPyPools(ps.freePools, m)
-	for cls := range ps.usedPools {
-		p.usedPools[cls] = mapPyPools(ps.usedPools[cls], m)
+	for cls := range p.usedPools {
+		p.usedPools[cls] = append(p.usedPools[cls][:0], ps.usedPools[cls]...)
 	}
-	p.poolByVA = make(map[uint64]*pyPool)
-	for _, a := range arenas {
-		for _, pl := range a.pools {
-			p.poolByVA[pl.base] = pl
-		}
-	}
-	p.large.restoreLarge(ps.large)
+	p.freePools = append(p.freePools[:0], ps.freePools...)
+	p.arenas = append(p.arenas[:0], ps.arenas...)
+	p.pools = append(p.pools[:0], ps.pools...)
+	p.live = append(p.live[:0], ps.live...)
+	p.vacant = append(p.vacant[:0], ps.vacant...)
+	p.free = append(p.free[:0], ps.free...)
+	p.large.restore(ps.large)
 	p.stats = ps.stats
 	return nil
 }
@@ -212,13 +173,14 @@ type jeSnapshot struct {
 	opts     JEMallocOpts
 	chunks   []jeChunk
 	tcache   [jeNumClasses][]uint64
-	runs     [jeNumClasses][]*jeRun
-	runByVA  map[uint64]*jeRun
-	owner    map[uint64]*jeRun
-	inTcache map[uint64]struct{}
+	runs     [jeNumClasses][]int32
+	slab     []jeRun
+	free     []uint16
+	bits     []uint64
 	large    *largeSnapshot
 	stats    Stats
 	initDone bool
+	bytes    uint64
 }
 
 func (*jeSnapshot) allocSnapshot() {}
@@ -227,92 +189,35 @@ func (*jeSnapshot) allocSnapshot() {}
 // and used.
 const jeRunSnapBytes = 5 * 8
 
-// Bytes implements AllocSnapshot: chunks, the thread cache, the run graph
-// and its indexes, the embedded large-path snapshot, and the counters.
-func (s *jeSnapshot) Bytes() uint64 {
-	b := s.large.Bytes() + saStatsBytes + 8 + 1 // opts + initDone
-	b += uint64(len(s.chunks)) * (3 * 8)
-	for cls := range s.tcache {
-		b += uint64(len(s.tcache[cls])) * 8
-	}
-	for cls := range s.runs {
-		b += uint64(len(s.runs[cls])) * 8
-	}
-	for _, r := range s.runByVA {
-		b += 8 + jeRunSnapBytes + uint64(len(r.freeList))*2
-	}
-	b += uint64(len(s.owner)) * 16
-	b += uint64(len(s.inTcache)) * 8
-	return b
-}
-
-// cloneJERuns deep-copies every carved run (runByVA is the universal set —
-// runs are never destroyed) and returns the clones with the identity map.
-func cloneJERuns(runByVA map[uint64]*jeRun) (map[uint64]*jeRun, map[*jeRun]*jeRun) {
-	m := make(map[*jeRun]*jeRun, len(runByVA))
-	out := make(map[uint64]*jeRun, len(runByVA))
-	for base, r := range runByVA {
-		nr := &jeRun{
-			base:     r.base,
-			class:    r.class,
-			objSize:  r.objSize,
-			capacity: r.capacity,
-			freeList: append([]uint16(nil), r.freeList...),
-			used:     r.used,
-		}
-		out[base] = nr
-		m[r] = nr
-	}
-	return out, m
-}
-
-func mapJERuns(runs []*jeRun, m map[*jeRun]*jeRun) []*jeRun {
-	if runs == nil {
-		return nil
-	}
-	out := make([]*jeRun, len(runs))
-	for i, r := range runs {
-		out[i] = m[r]
-	}
-	return out
-}
-
-func mapJEOwner(owner map[uint64]*jeRun, m map[*jeRun]*jeRun) map[uint64]*jeRun {
-	out := make(map[uint64]*jeRun, len(owner))
-	for va, r := range owner {
-		out[va] = m[r]
-	}
-	return out
-}
-
-func (j *JEMalloc) cloneInto(dst *jeSnapshot) {
-	dst.opts = j.opts
-	dst.chunks = make([]jeChunk, len(j.chunks))
-	for i, c := range j.chunks {
-		dst.chunks[i] = *c
-	}
-	for cls := range j.tcache {
-		dst.tcache[cls] = append([]uint64(nil), j.tcache[cls]...)
-	}
-	runByVA, m := cloneJERuns(j.runByVA)
-	dst.runByVA = runByVA
-	for cls := range j.runs {
-		dst.runs[cls] = mapJERuns(j.runs[cls], m)
-	}
-	dst.owner = mapJEOwner(j.owner, m)
-	dst.inTcache = make(map[uint64]struct{}, len(j.inTcache))
-	for va := range j.inTcache {
-		dst.inTcache[va] = struct{}{}
-	}
-	dst.large = cloneLarge(j.large)
-	dst.stats = j.stats
-	dst.initDone = j.initDone
-}
+// Bytes implements AllocSnapshot: chunks, the thread cache, the carved runs
+// with their free lists and run lists, the owned and cached objects, the
+// embedded large-path snapshot, and the counters.
+func (s *jeSnapshot) Bytes() uint64 { return s.bytes }
 
 // Snapshot implements Allocator.
 func (j *JEMalloc) Snapshot() AllocSnapshot {
-	s := &jeSnapshot{}
-	j.cloneInto(s)
+	s := &jeSnapshot{
+		opts:     j.opts,
+		chunks:   append([]jeChunk(nil), j.chunks...),
+		slab:     append([]jeRun(nil), j.slab...),
+		free:     append([]uint16(nil), j.free...),
+		bits:     append([]uint64(nil), j.bits...),
+		large:    j.large.snapshot(),
+		stats:    j.stats,
+		initDone: j.initDone,
+	}
+	s.bytes = s.large.Bytes() + saStatsBytes + 8 + 1 // opts + initDone
+	s.bytes += uint64(len(j.chunks)) * (3 * 8)
+	for cls := range j.tcache {
+		s.tcache[cls] = append([]uint64(nil), j.tcache[cls]...)
+		s.runs[cls] = append([]int32(nil), j.runs[cls]...)
+		s.bytes += uint64(len(j.tcache[cls]))*(8+8) + uint64(len(j.runs[cls]))*8
+	}
+	for i := range j.slab {
+		if r := &j.slab[i]; r.capacity > 0 {
+			s.bytes += 8 + jeRunSnapBytes + uint64(r.nfree)*2 + uint64(r.used)*16
+		}
+	}
 	return s
 }
 
@@ -323,25 +228,15 @@ func (j *JEMalloc) Restore(s AllocSnapshot) error {
 		return errSnapshotType(j.Name(), s)
 	}
 	j.opts = js.opts
-	j.chunks = make([]*jeChunk, len(js.chunks))
-	for i := range js.chunks {
-		c := js.chunks[i]
-		j.chunks[i] = &c
+	j.chunks = append(j.chunks[:0], js.chunks...)
+	for cls := range j.tcache {
+		j.tcache[cls] = append(j.tcache[cls][:0], js.tcache[cls]...)
+		j.runs[cls] = append(j.runs[cls][:0], js.runs[cls]...)
 	}
-	for cls := range js.tcache {
-		j.tcache[cls] = append([]uint64(nil), js.tcache[cls]...)
-	}
-	runByVA, m := cloneJERuns(js.runByVA)
-	j.runByVA = runByVA
-	for cls := range js.runs {
-		j.runs[cls] = mapJERuns(js.runs[cls], m)
-	}
-	j.owner = mapJEOwner(js.owner, m)
-	j.inTcache = make(map[uint64]struct{}, len(js.inTcache))
-	for va := range js.inTcache {
-		j.inTcache[va] = struct{}{}
-	}
-	j.large.restoreLarge(js.large)
+	j.slab = append(j.slab[:0], js.slab...)
+	j.free = append(j.free[:0], js.free...)
+	j.bits = append(j.bits[:0], js.bits...)
+	j.large.restore(js.large)
 	j.stats = js.stats
 	j.initDone = js.initDone
 	return nil
@@ -351,11 +246,14 @@ func (j *JEMalloc) Restore(s AllocSnapshot) error {
 
 type goSnapshot struct {
 	arenas  []goArena
-	mcache  [goNumClasses][]*goSpan
-	owner   map[uint64]*goSpan
+	mcache  [goNumClasses][]int32
+	spans   []goSpan
+	free    []uint16
+	bits    []uint64
 	large   *largeSnapshot
 	stats   Stats
 	liveObj uint64
+	bytes   uint64
 }
 
 func (*goSnapshot) allocSnapshot() {}
@@ -364,84 +262,33 @@ func (*goSnapshot) allocSnapshot() {}
 // capacity, and used.
 const goSpanSnapBytes = 5 * 8
 
-// Bytes implements AllocSnapshot: arenas, the unique spans reachable from
-// the mcache and owner index, the embedded large-path snapshot, and the
-// counters.
-func (s *goSnapshot) Bytes() uint64 {
-	b := s.large.Bytes() + saStatsBytes + 8 // liveObj
-	b += uint64(len(s.arenas)) * (2 * 8)
-	seen := make(map[*goSpan]struct{})
-	span := func(sp *goSpan) {
-		if _, ok := seen[sp]; ok {
-			return
-		}
-		seen[sp] = struct{}{}
-		b += goSpanSnapBytes + uint64(len(sp.freeList))*2
-	}
-	for cls := range s.mcache {
-		b += uint64(len(s.mcache[cls])) * 8
-		for _, sp := range s.mcache[cls] {
-			span(sp)
-		}
-	}
-	for _, sp := range s.owner {
-		b += 16
-		span(sp)
-	}
-	return b
-}
-
-// goSpanCloner lazily clones spans with identity preserved; the universal
-// span set is the union of the mcache lists and the owner map values.
-type goSpanCloner map[*goSpan]*goSpan
-
-func (m goSpanCloner) clone(s *goSpan) *goSpan {
-	if c, ok := m[s]; ok {
-		return c
-	}
-	c := &goSpan{
-		base:     s.base,
-		class:    s.class,
-		objSize:  s.objSize,
-		capacity: s.capacity,
-		freeList: append([]uint16(nil), s.freeList...),
-		used:     s.used,
-	}
-	m[s] = c
-	return c
-}
-
-func cloneGoSpans(mcache *[goNumClasses][]*goSpan, owner map[uint64]*goSpan) ([goNumClasses][]*goSpan, map[uint64]*goSpan) {
-	cl := make(goSpanCloner)
-	var nm [goNumClasses][]*goSpan
-	for cls := range mcache {
-		if mcache[cls] == nil {
-			continue
-		}
-		nm[cls] = make([]*goSpan, len(mcache[cls]))
-		for i, s := range mcache[cls] {
-			nm[cls][i] = cl.clone(s)
-		}
-	}
-	no := make(map[uint64]*goSpan, len(owner))
-	for va, s := range owner {
-		no[va] = cl.clone(s)
-	}
-	return nm, no
-}
+// Bytes implements AllocSnapshot: arenas, the mcache lists, the carved
+// spans with their free lists, the live objects, the embedded large-path
+// snapshot, and the counters.
+func (s *goSnapshot) Bytes() uint64 { return s.bytes }
 
 // Snapshot implements Allocator.
 func (g *GoAlloc) Snapshot() AllocSnapshot {
 	s := &goSnapshot{
-		arenas:  make([]goArena, len(g.arenas)),
-		large:   cloneLarge(g.large),
+		arenas:  append([]goArena(nil), g.arenas...),
+		spans:   append([]goSpan(nil), g.spans...),
+		free:    append([]uint16(nil), g.free...),
+		bits:    append([]uint64(nil), g.bits...),
+		large:   g.large.snapshot(),
 		stats:   g.stats,
 		liveObj: g.liveObj,
 	}
-	for i, a := range g.arenas {
-		s.arenas[i] = *a
+	s.bytes = s.large.Bytes() + saStatsBytes + 8 // liveObj
+	s.bytes += uint64(len(g.arenas))*(2*8) + g.liveObj*16
+	for cls := range g.mcache {
+		s.mcache[cls] = append([]int32(nil), g.mcache[cls]...)
+		s.bytes += uint64(len(g.mcache[cls])) * 8
 	}
-	s.mcache, s.owner = cloneGoSpans(&g.mcache, g.owner)
+	for i := range g.spans {
+		if sp := &g.spans[i]; sp.capacity > 0 {
+			s.bytes += goSpanSnapBytes + uint64(sp.nfree)*2
+		}
+	}
 	return s
 }
 
@@ -451,13 +298,14 @@ func (g *GoAlloc) Restore(s AllocSnapshot) error {
 	if !ok {
 		return errSnapshotType(g.Name(), s)
 	}
-	g.arenas = make([]*goArena, len(gs.arenas))
-	for i := range gs.arenas {
-		a := gs.arenas[i]
-		g.arenas[i] = &a
+	g.arenas = append(g.arenas[:0], gs.arenas...)
+	for cls := range g.mcache {
+		g.mcache[cls] = append(g.mcache[cls][:0], gs.mcache[cls]...)
 	}
-	g.mcache, g.owner = cloneGoSpans(&gs.mcache, gs.owner)
-	g.large.restoreLarge(gs.large)
+	g.spans = append(g.spans[:0], gs.spans...)
+	g.free = append(g.free[:0], gs.free...)
+	g.bits = append(g.bits[:0], gs.bits...)
+	g.large.restore(gs.large)
 	g.stats = gs.stats
 	g.liveObj = gs.liveObj
 	return nil

@@ -13,6 +13,7 @@ package softalloc
 
 import (
 	"fmt"
+	"slices"
 
 	"memento/internal/config"
 	"memento/internal/kernel"
@@ -104,6 +105,12 @@ func sizeClassOf(size uint64, step, maxSize int) (int, uint64) {
 		panic(fmt.Sprintf("softalloc: size %d beyond max %d", size, maxSize))
 	}
 	return cls - 1, s
+}
+
+// grow returns s extended by n elements, reusing its capacity when it
+// suffices. The new elements' contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s, n)[:len(s)+n]
 }
 
 // env bundles what every allocator needs.
