@@ -60,12 +60,3 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 	}
 	return nil
 }
-
-// WriteFileBytes atomically replaces path with data (the []byte
-// convenience form of WriteFile).
-func WriteFileBytes(path string, data []byte) error {
-	return WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}

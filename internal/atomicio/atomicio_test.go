@@ -8,12 +8,20 @@ import (
 	"testing"
 )
 
+// writeFileBytes atomically replaces path with data.
+func writeFileBytes(path string, data []byte) error {
+	return WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+}
+
 // TestWriteFileCreates: a successful write lands the full contents at the
 // target path and leaves no temporary residue in the directory.
 func TestWriteFileCreates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.json")
-	if err := WriteFileBytes(path, []byte("{\"ok\":true}\n")); err != nil {
+	if err := writeFileBytes(path, []byte("{\"ok\":true}\n")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -32,7 +40,7 @@ func TestWriteFileCreates(t *testing.T) {
 func TestWriteFileErrorPreservesOld(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "scorecard.json")
-	if err := WriteFileBytes(path, []byte("old complete artifact")); err != nil {
+	if err := writeFileBytes(path, []byte("old complete artifact")); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("disk on fire")
@@ -78,7 +86,7 @@ func TestWriteFilePreservesMode(t *testing.T) {
 	if err := os.WriteFile(path, []byte("#!/bin/sh\n"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteFileBytes(path, []byte("#!/bin/sh\necho hi\n")); err != nil {
+	if err := writeFileBytes(path, []byte("#!/bin/sh\necho hi\n")); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)

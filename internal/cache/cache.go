@@ -8,6 +8,7 @@ package cache
 
 import (
 	"memento/internal/config"
+	"memento/internal/delta"
 	"memento/internal/dram"
 	"memento/internal/telemetry"
 )
@@ -24,14 +25,17 @@ const (
 )
 
 // Cache is one set-associative cache level. Set storage is one flat,
-// set-major slice of tag words (set s occupies lines[s*ways : (s+1)*ways]),
-// and each set keeps its valid lines in recency order, most recent first,
-// with invalid ways trailing. LRU replacement therefore needs no stamps: a
-// hit moves its line to the front, a fill enters at the front, and the
-// victim of a full set is its last way (DESIGN.md §16).
+// set-major slice of tag words (set s occupies lines.Live[s*ways :
+// (s+1)*ways]), and each set keeps its valid lines in recency order, most
+// recent first, with invalid ways trailing. LRU replacement therefore needs
+// no stamps: a hit moves its line to the front, a fill enters at the front,
+// and the victim of a full set is its last way (DESIGN.md §16).
 type Cache struct {
-	cfg     config.CacheConfig
-	lines   []uint32
+	cfg config.CacheConfig
+	// lines is delta-tracked in blocks of one set: a change to a set marks
+	// it, and a Lookup miss, which changes only the miss counter, touches
+	// (see snapshot.go).
+	lines   delta.Array[uint32, Snapshot]
 	ways    int
 	setMask uint64
 	shift   uint
@@ -48,20 +52,6 @@ type Cache struct {
 	hi uint64
 	// Stats
 	hits, misses uint64
-	// Delta-snapshot state: base is the snapshot this cache's content was
-	// last captured to or restored from, dirty is a per-set bitmap of sets
-	// mutated since then, and clean reports no mutation at all (the dirty
-	// bitmap alone cannot: a Lookup miss bumps the miss counter without
-	// touching any set). See snapshot.go.
-	base  *Snapshot
-	clean bool
-	dirty []uint64
-}
-
-// markDirty records that set's content diverged from the base snapshot.
-func (c *Cache) markDirty(set uint64) {
-	c.dirty[set>>6] |= 1 << (set & 63)
-	c.clean = false
 }
 
 // NewCache builds a cache level from its configuration.
@@ -72,11 +62,10 @@ func NewCache(cfg config.CacheConfig) *Cache {
 	n := cfg.Sets()
 	return &Cache{
 		cfg:     cfg,
-		lines:   make([]uint32, n*cfg.Ways),
+		lines:   delta.New[uint32, Snapshot](n*cfg.Ways, cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(n - 1),
 		shift:   uint(config.Log2(n)),
-		dirty:   make([]uint64, (n+63)/64),
 	}
 }
 
@@ -88,7 +77,7 @@ func (c *Cache) indexTag(lineAddr uint64) (set uint64, tag uint32) {
 // setOf returns set s's ways as a window into the flat storage.
 func (c *Cache) setOf(set uint64) []uint32 {
 	base := int(set) * c.ways
-	return c.lines[base : base+c.ways]
+	return c.lines.Live[base : base+c.ways]
 }
 
 // position returns the way holding tag word want (tag|validBit) in ways, or
@@ -120,7 +109,7 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 	c.memoOK = false
 	// Every Lookup mutates either the hit or the miss counter, so the cache
 	// diverges from its base snapshot even when no set content changes.
-	c.clean = false
+	c.lines.Touch()
 	var or uint32
 	if write {
 		or = dirtyBit
@@ -139,7 +128,7 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) bool {
 	c.hits++
 	// A hit marks its set even when nothing moves: the recency order is the
 	// state a delta restore copies back.
-	c.dirty[set>>6] |= 1 << (set & 63)
+	c.lines.Mark(int(set))
 	return true
 }
 
@@ -165,11 +154,10 @@ func (c *Cache) repeatHits(pas []uint64, writes, rounds uint64) bool {
 		set, tag := c.indexTag(pa >> config.LineShift)
 		ways := c.setOf(set)
 		toFront(ways, position(ways, tag|validBit), uint32(writes>>uint(j)&1)*dirtyBit)
-		c.dirty[set>>6] |= 1 << (set & 63)
+		c.lines.Mark(int(set))
 	}
 	c.hits += rounds * n
 	c.memoOK = false
-	c.clean = false
 	return true
 }
 
@@ -194,7 +182,7 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 func (c *Cache) Insert(lineAddr uint64, dirty bool) (victim uint64, victimDirty, evicted bool) {
 	set, tag := c.indexTag(lineAddr)
 	ways := c.setOf(set)
-	c.markDirty(set)
+	c.lines.Mark(int(set))
 	tagw := tag | validBit
 	if dirty {
 		tagw |= dirtyBit
@@ -233,7 +221,7 @@ func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 	wasDirty = ways[i]&dirtyBit != 0
 	copy(ways[i:], ways[i+1:])
 	ways[len(ways)-1] = 0
-	c.markDirty(set)
+	c.lines.Mark(int(set))
 	return wasDirty, true
 }
 

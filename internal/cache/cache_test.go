@@ -261,23 +261,32 @@ func sameCache(a, b *Cache) string {
 	switch {
 	case a.hits != b.hits || a.misses != b.misses:
 		return "counters"
-	case a.clean != b.clean:
-		return "clean flag"
+	case !sameMarks(a, b):
+		return "clean flag or dirty sets"
 	case a.memoOK != b.memoOK:
 		return "fill memo"
 	}
 	// The recency-ordered tag words are the whole replacement state.
-	for i := range a.lines {
-		if a.lines[i] != b.lines[i] {
+	for i := range a.lines.Live {
+		if a.lines.Live[i] != b.lines.Live[i] {
 			return "lines"
 		}
 	}
-	for i := range a.dirty {
-		if a.dirty[i] != b.dirty[i] {
-			return "dirty sets"
+	return ""
+}
+
+// sameMarks reports whether two levels agree on the clean flag and on every
+// set's dirty bit.
+func sameMarks(a, b *Cache) bool {
+	if (a.lines.Clean() != nil) != (b.lines.Clean() != nil) {
+		return false
+	}
+	for set := 0; set <= int(a.setMask); set++ {
+		if a.lines.Dirty(set) != b.lines.Dirty(set) {
+			return false
 		}
 	}
-	return ""
+	return true
 }
 
 // TestRepeatHitsMatchesSequentialAccess checks the hit-replay fast path

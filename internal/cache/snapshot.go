@@ -1,7 +1,5 @@
 package cache
 
-import "math/bits"
-
 // Metered sizes: what a restore charges per line, per set and per level.
 // They meter the modeled state of a stamp-LRU cache (a tag word and a
 // 64-bit LRU stamp per line, an MRU way index per set, and the LRU tick
@@ -20,11 +18,10 @@ const (
 // configuration and is not captured; a Snapshot may only be restored into a
 // Cache built from the same CacheConfig.
 //
-// Snapshots are delta-aware: the cache remembers the snapshot it was last
-// captured to or restored from (its base) plus a per-set dirty bitmap, so
-// re-Snapshot of an unchanged cache returns the same handle (O(1)) and
-// Restore of the base copies back only dirtied sets. Restoring a foreign
-// snapshot falls back to a full copy and rebases onto it.
+// Snapshots are delta-aware (DESIGN.md §11): re-Snapshot of an unchanged
+// cache returns the same handle (O(1)), Restore of the base copies back
+// only dirtied sets, and Restore of a foreign snapshot is a full copy that
+// rebases the cache onto it.
 //
 // The one-shot fill memo is deliberately NOT captured: it is only valid
 // between a Lookup miss and the Insert that services it, and a snapshot is
@@ -44,72 +41,33 @@ func (s *Snapshot) Bytes() uint64 {
 	return uint64(len(s.lines))*lineBytes + s.sets*setBytes + scalarBytes
 }
 
-// rebase marks the live cache as bit-identical to s.
-func (c *Cache) rebase(s *Snapshot) {
-	c.base = s
-	c.clean = true
-	clear(c.dirty)
-}
-
 // Snapshot captures the level's mutable state. The returned value is
 // immutable and may be restored any number of times. If nothing mutated
 // since the last capture or restore, the existing base snapshot is returned
 // unchanged — an O(1) handle reuse with no copying.
 func (c *Cache) Snapshot() *Snapshot {
-	if c.clean && c.base != nil {
-		return c.base
+	if s := c.lines.Clean(); s != nil {
+		return s
 	}
-	s := &Snapshot{
-		lines:  append([]uint32(nil), c.lines...),
-		sets:   c.setMask + 1,
-		hits:   c.hits,
-		misses: c.misses,
-		hi:     c.hi,
-	}
-	c.rebase(s)
+	s := &Snapshot{sets: c.setMask + 1, hits: c.hits, misses: c.misses, hi: c.hi}
+	s.lines = c.lines.Capture(s)
 	return s
 }
 
 // Restore replaces the level's state with a copy of s, invalidates the fill
-// memo and takes s's line watermark. When s is the cache's base snapshot
-// only the sets dirtied since the base was established are copied back
-// (zero work, zero allocation for a clean cache); any other snapshot is a
-// full copy-in that rebases the cache onto it. Returns the metered number
-// of bytes copied.
+// memo and takes s's line watermark. Restoring the base into an unchanged
+// cache copies nothing and returns 0; otherwise it returns the metered
+// bytes of the sets copied plus the counters.
 func (c *Cache) Restore(s *Snapshot) uint64 {
 	c.memoOK = false
-	if s == c.base {
-		// A clean cache inserted nothing since the base, so its watermark
-		// already is the snapshot's.
-		if c.clean {
-			return 0
-		}
-		var copied uint64
-		perSet := uint64(c.ways)*lineBytes + setBytes
-		for wi, word := range c.dirty {
-			// Copy each run of consecutive dirty sets with one copy.
-			for word != 0 {
-				lo := bits.TrailingZeros64(word)
-				n := bits.TrailingZeros64(^(word >> lo))
-				word &^= (1<<n - 1) << lo
-				from, to := (wi<<6+lo)*c.ways, (wi<<6+lo+n)*c.ways
-				copy(c.lines[from:to], s.lines[from:to])
-				copied += uint64(n) * perSet
-			}
-			c.dirty[wi] = 0
-		}
-		c.hits = s.hits
-		c.misses = s.misses
-		c.hi = s.hi
-		c.clean = true
-		return copied + scalarBytes
+	if s == c.lines.Clean() {
+		return 0
 	}
-	c.lines = append(c.lines[:0], s.lines...)
+	lines, sets := c.lines.Restore(s, s.lines)
 	c.hits = s.hits
 	c.misses = s.misses
 	c.hi = s.hi
-	c.rebase(s)
-	return s.Bytes()
+	return uint64(lines)*lineBytes + uint64(sets)*setBytes + scalarBytes
 }
 
 // HierarchySnapshot captures the three cache levels plus the hierarchy

@@ -237,11 +237,11 @@ func matchRef(c *Cache, r *refCache) string {
 	if c.hits != r.hits || c.misses != r.misses {
 		return "counters"
 	}
-	if c.clean != r.clean {
+	if (c.lines.Clean() != nil) != r.clean {
 		return "clean flag"
 	}
 	for set := 0; set < int(r.sets); set++ {
-		if c.dirty[set>>6]>>(set&63)&1 == 1 != r.dirty[set] {
+		if c.lines.Dirty(set) != r.dirty[set] {
 			return "dirty-set bitmap"
 		}
 		want := r.recency(set)
@@ -304,6 +304,8 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 		r *refSnapshot
 	}
 	snaps := []pair{{dc.Snapshot(), dr.Snapshot()}}
+	// base is the handle c was last captured to or restored from.
+	var base *Snapshot
 
 	next := func() byte {
 		if len(ops) == 0 {
@@ -369,11 +371,12 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 			}
 		case 6:
 			what = "Snapshot"
-			cb, rb := c.base, r.base
+			rb := r.base
 			s, rs := c.Snapshot(), r.Snapshot()
-			if (s == cb) != (rs == rb) {
-				t.Fatalf("step %d: Snapshot handle reuse %v, oracle %v", step, s == cb, rs == rb)
+			if (s == base) != (rs == rb) {
+				t.Fatalf("step %d: Snapshot handle reuse %v, oracle %v", step, s == base, rs == rb)
 			}
+			base = s
 			if s.Bytes() != uint64(len(rs.lines))*16+uint64(sets)*4+24 {
 				t.Fatalf("step %d: Snapshot.Bytes = %d", step, s.Bytes())
 			}
@@ -384,6 +387,7 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 			if got, want := c.Restore(p.s), r.Restore(p.r); got != want {
 				t.Fatalf("step %d: Restore copied %d metered bytes, oracle %d", step, got, want)
 			}
+			base = p.s
 		}
 		if d := matchRef(c, r); d != "" {
 			t.Fatalf("step %d (%s of line %d): %s differs from the stamp-LRU oracle", step, what, la, d)
@@ -397,7 +401,7 @@ func cacheOracle(t *testing.T, geo uint8, ops []byte) {
 // linesAbove counts c's valid lines whose line address exceeds hi.
 func (c *Cache) linesAbove(hi uint64) int {
 	n := 0
-	for i, w := range c.lines {
+	for i, w := range c.lines.Live {
 		if w&validBit != 0 && uint64(w&tagMask)<<c.shift|uint64(i/c.ways) > hi {
 			n++
 		}

@@ -49,13 +49,13 @@ func diffHierarchy(a, b *Hierarchy) string {
 	for i, lv := range [][2]*Cache{{a.L1D, b.L1D}, {a.L2, b.L2}, {a.LLC, b.LLC}} {
 		x, y := lv[0], lv[1]
 		switch {
-		case !slices.Equal(x.lines, y.lines):
+		case !slices.Equal(x.lines.Live, y.lines.Live):
 			return fmt.Sprintf("level %d lines", i)
 		case x.hits != y.hits || x.misses != y.misses:
 			return fmt.Sprintf("level %d counters", i)
 		case x.memoOK != y.memoOK || x.memoLine != y.memoLine:
 			return fmt.Sprintf("level %d fill memo", i)
-		case !slices.Equal(x.dirty, y.dirty) || x.clean != y.clean:
+		case !sameMarks(x, y):
 			return fmt.Sprintf("level %d dirty bitmap or clean flag", i)
 		case x.hi != y.hi:
 			return fmt.Sprintf("level %d watermark %d vs %d", i, x.hi, y.hi)

@@ -23,8 +23,6 @@ const (
 	LineSize = 64
 	// LineShift is log2(LineSize).
 	LineShift = 6
-	// WordSize is the machine word size in bytes.
-	WordSize = 8
 )
 
 // Widths of the 32-bit host words that hold simulated quantities.

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"memento/internal/config"
+	"memento/internal/delta"
 	"memento/internal/telemetry"
 )
 
@@ -85,8 +86,9 @@ func (s Stats) RowHitRate() float64 {
 // the simulator is single-goroutine per machine.
 type DRAM struct {
 	cfg config.DRAMConfig
-	// openRow tracks the open row per bank; -1 means closed.
-	openRow []int64
+	// openRow tracks the open row per bank; -1 means closed. It is one
+	// delta block: every access marks it (see snapshot.go).
+	openRow delta.Array[int64, Snapshot]
 	// lastBank is used for the consecutive-same-bank queue penalty.
 	lastBank    int
 	bankStreak  uint64
@@ -104,12 +106,6 @@ type DRAM struct {
 	// one byte instead of an interface against nil.
 	probe  telemetry.Probe
 	probed bool
-	// Delta-snapshot state: base is the snapshot this model was last
-	// captured to or restored from, clean reports no mutation since then.
-	// The whole mutable state is a few dozen words, so the delta is all or
-	// nothing (see snapshot.go).
-	base  *Snapshot
-	clean bool
 }
 
 // SetProbe attaches a telemetry probe (nil detaches).
@@ -125,11 +121,11 @@ func New(cfg config.DRAMConfig) *DRAM {
 	}
 	d := &DRAM{
 		cfg:      cfg,
-		openRow:  make([]int64, cfg.Banks),
+		openRow:  delta.New[int64, Snapshot](cfg.Banks, cfg.Banks),
 		lastBank: -1,
 	}
-	for i := range d.openRow {
-		d.openRow[i] = -1
+	for i := range d.openRow.Live {
+		d.openRow.Live[i] = -1
 	}
 	if isPow2(cfg.RowBytes) && isPow2(cfg.Banks) {
 		d.pow2 = true
@@ -158,16 +154,16 @@ func (d *DRAM) bankAndRow(pa uint64) (bank int, row int64) {
 
 // access performs the shared timing path for reads and writes.
 func (d *DRAM) access(pa uint64) uint64 {
-	d.clean = false
+	d.openRow.Mark(0)
 	bank, row := d.bankAndRow(pa)
 	var lat uint64
-	if d.openRow[bank] == row {
+	if d.openRow.Live[bank] == row {
 		lat = d.cfg.RowHitCycles
 		d.stats.RowHits++
 	} else {
 		lat = d.cfg.RowMissCycles
 		d.stats.RowMisses++
-		d.openRow[bank] = row
+		d.openRow.Live[bank] = row
 	}
 	if bank == d.lastBank {
 		d.bankStreak++
@@ -251,7 +247,7 @@ func (d *DRAM) Stats() Stats { return d.stats }
 // ResetStats zeroes the statistics but keeps row-buffer state.
 func (d *DRAM) ResetStats() {
 	d.stats = Stats{}
-	d.clean = false
+	d.openRow.Touch()
 }
 
 func min64(a, b uint64) uint64 {

@@ -183,8 +183,9 @@ func TestWriteRunMatchesWrites(t *testing.T) {
 				if got := run.WriteRun(pa, n, div); got != want {
 					t.Fatalf("geometry %d probed=%v: WriteRun(%#x, %d, %d) = %d, writes give %d", gi, probed, pa, n, div, got, want)
 				}
-				if run.stats != lines.stats || run.clean != lines.clean || run.lastBank != lines.lastBank ||
-					run.bankStreak != lines.bankStreak || !slices.Equal(run.openRow, lines.openRow) {
+				if run.stats != lines.stats || run.openRow.Clean() != lines.openRow.Clean() ||
+					run.openRow.Dirty(0) != lines.openRow.Dirty(0) || run.lastBank != lines.lastBank ||
+					run.bankStreak != lines.bankStreak || !slices.Equal(run.openRow.Live, lines.openRow.Live) {
 					t.Fatalf("geometry %d probed=%v: state diverges after WriteRun(%#x, %d)", gi, probed, pa, n)
 				}
 			}

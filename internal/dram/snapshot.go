@@ -9,12 +9,10 @@ const scalarBytes = 8 + 8 + 7*8
 // is not captured; a Snapshot may only be restored into a DRAM built from
 // the same DRAMConfig.
 //
-// Snapshots are delta-aware: the model remembers the snapshot it was last
-// captured to or restored from, so re-Snapshot of an untouched model is an
-// O(1) handle reuse and Restore of the base onto an untouched model copies
-// nothing. The mutable state is a few dozen words (one open row per bank),
-// so there is no finer-grained dirty tracking — any access invalidates the
-// whole delta.
+// Snapshots are delta-aware (DESIGN.md §11): re-Snapshot of an untouched
+// model is an O(1) handle reuse and Restore of the base onto an untouched
+// model copies nothing. The open rows are a few dozen words, so they are
+// one block: any access makes a restore copy all of them.
 type Snapshot struct {
 	openRow    []int64
 	lastBank   int
@@ -32,17 +30,11 @@ func (s *Snapshot) Bytes() uint64 {
 // different DRAM instances. If nothing mutated since the last capture or
 // restore, the existing base snapshot is returned unchanged.
 func (d *DRAM) Snapshot() *Snapshot {
-	if d.clean && d.base != nil {
-		return d.base
+	if s := d.openRow.Clean(); s != nil {
+		return s
 	}
-	s := &Snapshot{
-		openRow:    append([]int64(nil), d.openRow...),
-		lastBank:   d.lastBank,
-		bankStreak: d.bankStreak,
-		stats:      d.stats,
-	}
-	d.base = s
-	d.clean = true
+	s := &Snapshot{lastBank: d.lastBank, bankStreak: d.bankStreak, stats: d.stats}
+	s.openRow = d.openRow.Capture(s)
 	return s
 }
 
@@ -50,15 +42,13 @@ func (d *DRAM) Snapshot() *Snapshot {
 // base snapshot into an untouched model is a no-op. The probe attachment is
 // preserved; its cached flag is re-derived. Returns the bytes copied.
 func (d *DRAM) Restore(s *Snapshot) uint64 {
-	if s == d.base && d.clean {
+	if s == d.openRow.Clean() {
 		return 0
 	}
-	d.openRow = append(d.openRow[:0], s.openRow...)
+	rows, _ := d.openRow.Restore(s, s.openRow)
 	d.lastBank = s.lastBank
 	d.bankStreak = s.bankStreak
 	d.stats = s.stats
 	d.probed = d.probe != nil
-	d.base = s
-	d.clean = true
-	return s.Bytes()
+	return uint64(rows)*8 + scalarBytes
 }

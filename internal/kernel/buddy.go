@@ -9,6 +9,8 @@ package kernel
 
 import (
 	"fmt"
+
+	"memento/internal/delta"
 )
 
 // MaxOrder is the largest buddy block: 2^10 pages = 4 MiB, matching Linux.
@@ -34,36 +36,30 @@ type Buddy struct {
 	// serve a request; freed blocks never merge back into the region.
 	watermark uint64
 	// head[o] is the frame offset of the first free block of order o, or
-	// noFrame. prev/next thread the lists; they are meaningful only at
-	// offsets that are free block heads.
-	head [MaxOrder + 1]int32
-	prev []int32
-	next []int32
-	// state[off] is 0 for untracked offsets, freeTag+o for a free block head
-	// of order o, allocTag+o for an allocated block head of order o.
-	state      []uint8
+	// noFrame.
+	head       [MaxOrder + 1]int32
 	freeFrames uint64
-	// Delta-snapshot state: snapBase is the snapshot this allocator was last
-	// captured to or restored from, dirty is a bitmap with one bit per
-	// dirtyBlockFrames-frame window of the tracking arrays mutated since
-	// then, and clean reports no mutation at all. The scalars (watermark,
-	// freeFrames, head) are always re-copied on a delta restore; only the
-	// per-frame arrays are delta-tracked. See snapshot.go.
-	snapBase *buddySnapshot
-	clean    bool
-	dirty    []uint64
+	// frames holds the tracking state of frame offsets [0, len), grown with
+	// the watermark and delta-tracked in windows of 2^windowShift offsets:
+	// every write to an offset marks its window (see snapshot.go).
+	frames delta.Array[frame, buddySnapshot]
 }
 
-// dirtyBlockShift sets the dirty-tracking granularity: one bitmap bit covers
-// 2^8 = 256 consecutive frame offsets (2304 bytes of tracking arrays).
-const dirtyBlockShift = 8
-
-// markDirty records that offset off's tracking window diverged from base.
-func (b *Buddy) markDirty(off uint64) {
-	blk := off >> dirtyBlockShift
-	b.dirty[blk>>6] |= 1 << (blk & 63)
-	b.clean = false
+// frame is the tracking state of one frame offset. prev and next thread
+// the free lists; they are meaningful only at free block heads. state is 0
+// for untracked offsets, freeTag+o for a free block head of order o, and
+// allocTag+o for an allocated block head of order o.
+type frame struct {
+	prev, next int32
+	state      uint8
 }
+
+// windowShift sets the delta-tracking granularity: one window covers 2^8 =
+// 256 consecutive frame offsets (2304 metered bytes).
+const windowShift = 8
+
+// mark records that offset off's window diverged from the base snapshot.
+func (b *Buddy) mark(off uint64) { b.frames.Mark(int(off >> windowShift)) }
 
 const (
 	freeTag  = 1
@@ -72,12 +68,11 @@ const (
 
 // NewBuddy creates an allocator over nframes frames starting at PFN base.
 func NewBuddy(base, nframes uint64) *Buddy {
-	blocks := (nframes + (1 << dirtyBlockShift) - 1) >> dirtyBlockShift
 	b := &Buddy{
 		base:       base,
 		nframes:    nframes,
 		freeFrames: nframes,
-		dirty:      make([]uint64, (blocks+63)/64),
+		frames:     delta.New[frame, buddySnapshot](0, 1<<windowShift),
 	}
 	for o := range b.head {
 		b.head[o] = noFrame
@@ -91,57 +86,51 @@ func (b *Buddy) FreeFrames() uint64 { return b.freeFrames }
 // TotalFrames returns the managed frame count.
 func (b *Buddy) TotalFrames() uint64 { return b.nframes }
 
-// grow extends the tracking arrays to cover offsets [0, n), doubling the
-// allocation so repeated watermark advances amortize to O(1) per frame.
+// tracked returns the number of tracked frame offsets.
+func (b *Buddy) tracked() uint64 { return uint64(len(b.frames.Live)) }
+
+// grow extends the tracking state to cover offsets [0, n), doubling the
+// length so repeated watermark advances amortize to O(1) per frame.
 func (b *Buddy) grow(n uint64) {
-	if uint64(len(b.state)) >= n {
+	if b.tracked() >= n {
 		return
 	}
 	c := uint64(1024)
 	for c < n {
 		c *= 2
 	}
-	if c > b.nframes {
-		c = b.nframes
-	}
-	ns := make([]uint8, c)
-	copy(ns, b.state)
-	np := make([]int32, c)
-	copy(np, b.prev)
-	nn := make([]int32, c)
-	copy(nn, b.next)
-	b.state, b.prev, b.next = ns, np, nn
+	b.frames.Grow(int(min(c, b.nframes)))
 }
 
 // push makes offset off the head of order o's free list.
 func (b *Buddy) push(off uint64, o int) {
+	f := b.frames.Live
 	h := b.head[o]
-	b.prev[off] = noFrame
-	b.next[off] = h
+	f[off] = frame{prev: noFrame, next: h, state: freeTag + uint8(o)}
 	if h != noFrame {
-		b.prev[h] = int32(off)
-		b.markDirty(uint64(h))
+		f[h].prev = int32(off)
+		b.mark(uint64(h))
 	}
 	b.head[o] = int32(off)
-	b.state[off] = freeTag + uint8(o)
-	b.markDirty(off)
+	b.mark(off)
 }
 
 // unlink removes free block head off from order o's list.
 func (b *Buddy) unlink(off uint64, o int) {
-	p, n := b.prev[off], b.next[off]
+	f := b.frames.Live
+	p, n := f[off].prev, f[off].next
 	if p != noFrame {
-		b.next[p] = n
-		b.markDirty(uint64(p))
+		f[p].next = n
+		b.mark(uint64(p))
 	} else {
 		b.head[o] = n
 	}
 	if n != noFrame {
-		b.prev[n] = p
-		b.markDirty(uint64(n))
+		f[n].prev = p
+		b.mark(uint64(n))
 	}
-	b.state[off] = 0
-	b.markDirty(off)
+	f[off].state = 0
+	b.mark(off)
 }
 
 // Alloc returns the first frame of a free 2^order block, splitting larger
@@ -183,8 +172,8 @@ func (b *Buddy) Alloc(order int) (frame uint64, ok bool) {
 		b.watermark = aligned + size
 		off = aligned
 	}
-	b.state[off] = allocTag + uint8(order)
-	b.markDirty(off)
+	b.frames.Live[off].state = allocTag + uint8(order)
+	b.mark(off)
 	b.freeFrames -= 1 << order
 	return b.base + off, true
 }
@@ -193,12 +182,12 @@ func (b *Buddy) Alloc(order int) (frame uint64, ok bool) {
 // the buddy is also a free block of the same order.
 func (b *Buddy) Free(frame uint64) error {
 	off := frame - b.base
-	if off >= uint64(len(b.state)) || b.state[off] < allocTag {
+	if off >= b.tracked() || b.frames.Live[off].state < allocTag {
 		return fmt.Errorf("kernel: buddy free of unallocated frame %#x", frame)
 	}
-	order := int(b.state[off] - allocTag)
-	b.state[off] = 0
-	b.markDirty(off)
+	order := int(b.frames.Live[off].state - allocTag)
+	b.frames.Live[off].state = 0
+	b.mark(off)
 	b.freeFrames += uint64(1) << order
 	b.merge(off, order)
 	return nil
@@ -211,7 +200,7 @@ func (b *Buddy) merge(off uint64, order int) {
 		buddy := off ^ (1 << order)
 		// A pristine-region buddy is free but not mergeable: carving never
 		// re-forms the watermark, so stop at the boundary.
-		if buddy >= uint64(len(b.state)) || b.state[buddy] != freeTag+uint8(order) {
+		if buddy >= b.tracked() || b.frames.Live[buddy].state != freeTag+uint8(order) {
 			break
 		}
 		b.unlink(buddy, order)
@@ -260,14 +249,14 @@ func (b *Buddy) FreeRun(frame, n uint64) error {
 		}
 		for j := 0; j < k; j++ {
 			if h := b.head[j]; h != noFrame {
-				b.markDirty(uint64(h))
+				b.mark(uint64(h))
 			}
 		}
 		for f := off; f < off+size; f++ {
-			b.state[f] = 0
+			b.frames.Live[f].state = 0
 		}
-		for w := off >> dirtyBlockShift; w <= (off+size-1)>>dirtyBlockShift; w++ {
-			b.markDirty(w << dirtyBlockShift)
+		for w := off >> windowShift; w <= (off+size-1)>>windowShift; w++ {
+			b.frames.Mark(int(w))
 		}
 		b.freeFrames += size
 		b.merge(off, k)
@@ -280,11 +269,11 @@ func (b *Buddy) FreeRun(frame, n uint64) error {
 // allocated order-0 block.
 func (b *Buddy) allocatedSingles(frame, n uint64) bool {
 	off := frame - b.base
-	if frame < b.base || off+n > uint64(len(b.state)) {
+	if frame < b.base || off+n > b.tracked() {
 		return false
 	}
-	for _, s := range b.state[off : off+n] {
-		if s != allocTag {
+	for _, f := range b.frames.Live[off : off+n] {
+		if f.state != allocTag {
 			return false
 		}
 	}
@@ -294,7 +283,7 @@ func (b *Buddy) allocatedSingles(frame, n uint64) bool {
 // blocksAtOrder returns the number of free blocks on order o's list.
 func (b *Buddy) blocksAtOrder(o int) int {
 	n := 0
-	for f := b.head[o]; f != noFrame; f = b.next[f] {
+	for f := b.head[o]; f != noFrame; f = b.frames.Live[f].next {
 		n++
 	}
 	return n
@@ -306,10 +295,10 @@ func (b *Buddy) checkIntegrity() error {
 	seen := make(map[uint64]struct{})
 	count := b.nframes - b.watermark
 	for o := 0; o <= MaxOrder; o++ {
-		for f := b.head[o]; f != noFrame; f = b.next[f] {
+		for f := b.head[o]; f != noFrame; f = b.frames.Live[f].next {
 			off := uint64(f)
-			if b.state[off] != freeTag+uint8(o) {
-				return fmt.Errorf("kernel: free block %#x has state %d, want order %d", off, b.state[off], o)
+			if s := b.frames.Live[off].state; s != freeTag+uint8(o) {
+				return fmt.Errorf("kernel: free block %#x has state %d, want order %d", off, s, o)
 			}
 			if off+(1<<o) > b.watermark {
 				return fmt.Errorf("kernel: free block %#x order %d crosses watermark %#x", off, o, b.watermark)

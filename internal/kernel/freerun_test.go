@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 )
 
@@ -94,23 +93,34 @@ func equalBuddies(t *testing.T, fast, slow *Buddy) {
 		t.Fatalf("counters or heads diverge: free %d/%d watermark %d/%d heads %v/%v",
 			fast.freeFrames, slow.freeFrames, fast.watermark, slow.watermark, fast.head, slow.head)
 	}
-	if !reflect.DeepEqual(fast.state, slow.state) {
-		t.Fatal("block states diverge")
+	ff, sf := fast.frames.Live, slow.frames.Live
+	if len(ff) != len(sf) {
+		t.Fatalf("tracked %d vs %d frames", len(ff), len(sf))
+	}
+	for i := range ff {
+		if ff[i].state != sf[i].state {
+			t.Fatal("block states diverge")
+		}
 	}
 	for o := 0; o <= MaxOrder; o++ {
 		f, s := fast.head[o], slow.head[o]
-		if f != noFrame && fast.prev[f] != slow.prev[s] {
-			t.Fatalf("order %d head prev %d vs %d", o, fast.prev[f], slow.prev[s])
+		if f != noFrame && ff[f].prev != sf[s].prev {
+			t.Fatalf("order %d head prev %d vs %d", o, ff[f].prev, sf[s].prev)
 		}
 		for f != noFrame || s != noFrame {
 			if f != s {
 				t.Fatalf("order %d list diverges at %d vs %d", o, f, s)
 			}
-			f, s = fast.next[f], slow.next[s]
+			f, s = ff[f].next, sf[s].next
 		}
 	}
-	if !reflect.DeepEqual(fast.dirty, slow.dirty) || fast.clean != slow.clean {
-		t.Fatal("dirty windows diverge")
+	if (fast.frames.Clean() != nil) != (slow.frames.Clean() != nil) {
+		t.Fatal("clean flags diverge")
+	}
+	for w := 0; w<<windowShift < len(ff); w++ {
+		if fast.frames.Dirty(w) != slow.frames.Dirty(w) {
+			t.Fatalf("dirty window %d diverges", w)
+		}
 	}
 	if err := fast.checkIntegrity(); err != nil {
 		t.Fatal(err)

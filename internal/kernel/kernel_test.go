@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -43,6 +44,66 @@ func TestBuddyAllocFree(t *testing.T) {
 	if err := b.checkIntegrity(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBuddyDeltaRestoreTruncatesGrowth restores a buddy snapshot after the
+// watermark has grown the frame state past the captured length. The delta
+// restore must leave the allocator equal to a full restore of the same
+// snapshot into a fresh allocator, meter 9 bytes for each frame of a dirty
+// window below the captured length plus the scalars, and keep the two
+// equal through a regrowth of the cut-off tail.
+func TestBuddyDeltaRestoreTruncatesGrowth(t *testing.T) {
+	const base = 64
+	b := NewBuddy(base, 1<<14)
+	for i := 0; i < 1100; i++ {
+		if _, ok := b.Alloc(0); !ok {
+			t.Fatal("alloc failed")
+		}
+	}
+	s := b.snapshot()
+	if b.tracked() != 2048 {
+		t.Fatalf("tracking %d frames at capture, want 2048", b.tracked())
+	}
+	// Dirty windows 0 and 3 by frees, windows 4 to 6 by the heads of the
+	// alignment gap [1100, 2048) the order-10 carve pushes (the last is 512
+	// frames at 1536, so window 7 holds no head), and window 8, past the
+	// captured length, by the carved block itself. Windows 1, 2 and 7 stay
+	// clean.
+	for _, f := range []uint64{10, 1000} {
+		if err := b.Free(base + f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f, ok := b.Alloc(MaxOrder); !ok || f != base+2048 {
+		t.Fatalf("order-%d carve = %d,%v, want %d", MaxOrder, f, ok, base+2048)
+	}
+	if b.tracked() != 4096 {
+		t.Fatalf("tracking %d frames after the carve, want 4096", b.tracked())
+	}
+	if got, want := b.restore(s), uint64(5*256*9+buddyScalarBytes); got != want {
+		t.Fatalf("delta restore metered %d bytes, want %d", got, want)
+	}
+	full := NewBuddy(base, 1<<14)
+	if got := full.restore(s); got != s.bytes() {
+		t.Fatalf("full restore metered %d bytes, want %d", got, s.bytes())
+	}
+	equal := func(when string) {
+		t.Helper()
+		if b.watermark != full.watermark || b.freeFrames != full.freeFrames || b.head != full.head ||
+			!slices.Equal(b.frames.Live, full.frames.Live) {
+			t.Fatalf("%s: delta-restored allocator differs from a full restore", when)
+		}
+		if err := b.checkIntegrity(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	equal("after restore")
+	fb, okb := b.Alloc(MaxOrder)
+	ff, okf := full.Alloc(MaxOrder)
+	if fb != ff || okb != okf {
+		t.Fatalf("carve after restore = %d,%v, full restore gives %d,%v", fb, okb, ff, okf)
+	}
+	equal("after regrowth")
 }
 
 func TestBuddyMergeRestoresMaxBlocks(t *testing.T) {

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"math/bits"
-
 	"memento/internal/pagetable"
 )
 
@@ -13,106 +11,57 @@ import (
 // captured — they are observation wiring owned by the caller, which re-arms
 // them after a restore; the cached probe flag is re-derived.
 //
-// Both snapshot kinds are delta-aware. The buddy allocator tracks dirty
-// 256-frame windows of its intrusive-list arrays, so restoring the base
+// Both snapshot kinds are delta-aware. The buddy allocator's per-frame
+// state is a delta.Array in 256-frame windows, so restoring the base
 // snapshot copies only windows touched since capture and re-capturing an
-// untouched allocator reuses the previous handle. Address-space snapshots
-// alias the page-table tree behind copy-on-write (see pagetable.Node) instead
-// of deep-cloning it on every capture and restore.
+// untouched allocator reuses the previous handle (DESIGN.md §11).
+// Address-space snapshots alias the page-table tree behind copy-on-write
+// (see pagetable.Node) instead of deep-cloning it on every capture and
+// restore.
 
-// buddyScalarBytes covers watermark, freeFrames, and the per-order heads.
-const buddyScalarBytes = 8 + 8 + (MaxOrder+1)*4
+// Metered sizes of the buddy allocator: 9 bytes per tracked frame offset
+// (the prev and next links and the state byte), and the watermark,
+// freeFrames and the per-order heads.
+const (
+	frameBytes       = 9
+	buddyScalarBytes = 8 + 8 + (MaxOrder+1)*4
+)
 
 // buddySnapshot is an immutable capture of the buddy allocator's state.
 type buddySnapshot struct {
 	watermark  uint64
 	freeFrames uint64
 	head       [MaxOrder + 1]int32
-	prev       []int32
-	next       []int32
-	state      []uint8
+	frames     []frame
 }
 
-// bytes returns the full captured size: the three tracking arrays (9 bytes
-// per covered frame offset) plus the scalars.
+// bytes returns the full metered size of the captured state.
 func (s *buddySnapshot) bytes() uint64 {
-	return uint64(len(s.state))*9 + buddyScalarBytes
-}
-
-func (b *Buddy) rebase(s *buddySnapshot) {
-	b.snapBase = s
-	b.clean = true
-	for i := range b.dirty {
-		b.dirty[i] = 0
-	}
+	return uint64(len(s.frames))*frameBytes + buddyScalarBytes
 }
 
 func (b *Buddy) snapshot() *buddySnapshot {
-	if b.clean && b.snapBase != nil {
-		return b.snapBase
+	if s := b.frames.Clean(); s != nil {
+		return s
 	}
-	s := &buddySnapshot{
-		watermark:  b.watermark,
-		freeFrames: b.freeFrames,
-		head:       b.head,
-		prev:       append([]int32(nil), b.prev...),
-		next:       append([]int32(nil), b.next...),
-		state:      append([]uint8(nil), b.state...),
-	}
-	b.rebase(s)
+	s := &buddySnapshot{watermark: b.watermark, freeFrames: b.freeFrames, head: b.head}
+	s.frames = b.frames.Capture(s)
 	return s
 }
 
-// restore brings the allocator back to s, returning the bytes copied. When
-// s is the base snapshot only dirty windows are copied back; the live
-// arrays are truncated to the snapshot's length if the watermark region
-// grew them since capture (grow never re-extends in place — it allocates
-// fresh arrays and copies only the visible length — so the stale tail
-// beyond the truncated length is never observed).
+// restore brings the allocator back to s, returning the metered bytes
+// copied. When s is the base snapshot only dirty windows below its length
+// are copied back: the frame state is cut to the snapshot's length if the
+// watermark grew it since capture.
 func (b *Buddy) restore(s *buddySnapshot) uint64 {
-	if s == b.snapBase {
-		if b.clean {
-			return 0
-		}
-		n := uint64(len(s.state))
-		b.prev = b.prev[:n]
-		b.next = b.next[:n]
-		b.state = b.state[:n]
-		var copied uint64
-		for wi, word := range b.dirty {
-			for word != 0 {
-				blk := uint64(wi)<<6 + uint64(bits.TrailingZeros64(word))
-				word &= word - 1
-				lo := blk << dirtyBlockShift
-				if lo >= n {
-					// Window born after capture; gone with the truncation.
-					continue
-				}
-				hi := lo + (1 << dirtyBlockShift)
-				if hi > n {
-					hi = n
-				}
-				copy(b.prev[lo:hi], s.prev[lo:hi])
-				copy(b.next[lo:hi], s.next[lo:hi])
-				copy(b.state[lo:hi], s.state[lo:hi])
-				copied += (hi - lo) * 9
-			}
-			b.dirty[wi] = 0
-		}
-		b.watermark = s.watermark
-		b.freeFrames = s.freeFrames
-		b.head = s.head
-		b.clean = true
-		return copied + buddyScalarBytes
+	if s == b.frames.Clean() {
+		return 0
 	}
+	frames, _ := b.frames.Restore(s, s.frames)
 	b.watermark = s.watermark
 	b.freeFrames = s.freeFrames
 	b.head = s.head
-	b.prev = append(b.prev[:0], s.prev...)
-	b.next = append(b.next[:0], s.next...)
-	b.state = append(b.state[:0], s.state...)
-	b.rebase(s)
-	return s.bytes()
+	return uint64(frames)*frameBytes + buddyScalarBytes
 }
 
 // kstatsBytes is the wire size of the kernel Stats struct (10 counters)

@@ -18,7 +18,7 @@
 //     that TestExperimentsMDGolden pins. Any behavioural change here
 //     surfaces in those goldens first; regenerate them deliberately.
 //
-//   - Exported-surface stability. Histogram, Counter, CI, and the package
+//   - Exported-surface stability. Histogram, CI, and the package
 //     functions are consumed by internal/experiments, internal/fleet,
 //     internal/validate, and the root facade. Additive changes are fine;
 //     renames and semantic changes require sweeping those callers in the

@@ -161,35 +161,6 @@ func (h *Histogram) Normalized() []float64 {
 	return out
 }
 
-// Counter is a simple named uint64 counter set.
-type Counter struct {
-	m    map[string]uint64
-	keys []string
-}
-
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter {
-	return &Counter{m: make(map[string]uint64)}
-}
-
-// Inc adds n to key.
-func (c *Counter) Inc(key string, n uint64) {
-	if _, ok := c.m[key]; !ok {
-		c.keys = append(c.keys, key)
-	}
-	c.m[key] += n
-}
-
-// Get returns the counter's value (0 if absent).
-func (c *Counter) Get(key string) uint64 { return c.m[key] }
-
-// Keys returns the keys in insertion order.
-func (c *Counter) Keys() []string {
-	out := make([]string, len(c.keys))
-	copy(out, c.keys)
-	return out
-}
-
 // Ratio computes a/(a+b) safely.
 func Ratio(a, b uint64) float64 {
 	if a+b == 0 {
@@ -204,23 +175,6 @@ func SafeDiv(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// GeoMean returns the geometric mean of positive values; zero/negative values
-// are skipped. Returns 0 for an empty input.
-func GeoMean(vs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, v := range vs {
-		if v > 0 {
-			logSum += math.Log(v)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(logSum / float64(n))
 }
 
 // Percentile returns the q-quantile (0 < q <= 1) of the samples by the

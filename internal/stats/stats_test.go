@@ -133,41 +133,12 @@ func TestNewHistogramRejectsUnsortedBounds(t *testing.T) {
 	NewHistogram("bad", []int64{10, 5})
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a", 2)
-	c.Inc("b", 1)
-	c.Inc("a", 3)
-	if c.Get("a") != 5 || c.Get("b") != 1 || c.Get("missing") != 0 {
-		t.Fatalf("counter values wrong: a=%d b=%d", c.Get("a"), c.Get("b"))
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v, want [a b]", keys)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(0, 0) != 0 {
 		t.Error("Ratio(0,0) should be 0")
 	}
 	if got := Ratio(1, 3); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("Ratio(1,3) = %v, want 0.25", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Error("GeoMean(nil) should be 0")
-	}
-	got := GeoMean([]float64{1, 4})
-	if math.Abs(got-2) > 1e-9 {
-		t.Errorf("GeoMean(1,4) = %v, want 2", got)
-	}
-	// zeros are skipped
-	got = GeoMean([]float64{0, 2, 8})
-	if math.Abs(got-4) > 1e-9 {
-		t.Errorf("GeoMean(0,2,8) = %v, want 4", got)
 	}
 }
 

@@ -1,7 +1,5 @@
 package tlb
 
-import "math/bits"
-
 // Metered sizes: what a restore charges per entry, per set and per level.
 // They meter the modeled state of a stamp-LRU TLB (VPN word, PFN and a
 // 64-bit LRU stamp per entry, an MRU way index per set, and the LRU tick
@@ -18,11 +16,10 @@ const (
 // Geometry is immutable configuration and is not captured; a Snapshot may
 // only be restored into a TLB built from the same TLBConfig.
 //
-// Snapshots are delta-aware: the TLB remembers the snapshot it was last
-// captured to or restored from (its base) plus a per-set dirty bitmap, so
-// re-Snapshot of an unchanged TLB returns the same handle (O(1)) and
-// Restore of the base copies back only dirtied sets. Restoring a foreign
-// snapshot falls back to a full copy and rebases onto it.
+// Snapshots are delta-aware (DESIGN.md §11): re-Snapshot of an unchanged
+// TLB returns the same handle (O(1)), Restore of the base copies back only
+// dirtied sets, and Restore of a foreign snapshot is a full copy that
+// rebases the TLB onto it.
 //
 // The one-shot fill memo is deliberately NOT captured: it is only valid
 // between a Lookup miss and the Insert that services it, and a snapshot is
@@ -39,66 +36,32 @@ func (s *Snapshot) Bytes() uint64 {
 	return uint64(len(s.entries))*entryBytes + s.sets*setBytes + scalarBytes
 }
 
-// rebase marks the live TLB as bit-identical to s.
-func (t *TLB) rebase(s *Snapshot) {
-	t.base = s
-	t.clean = true
-	clear(t.dirty)
-}
-
 // Snapshot captures the level's mutable state. The returned value is
 // immutable and may be restored any number of times. If nothing mutated
 // since the last capture or restore, the existing base snapshot is returned
 // unchanged — an O(1) handle reuse with no copying.
 func (t *TLB) Snapshot() *Snapshot {
-	if t.clean && t.base != nil {
-		return t.base
+	if s := t.entries.Clean(); s != nil {
+		return s
 	}
-	s := &Snapshot{
-		entries: append([]entry(nil), t.entries...),
-		sets:    t.setMask + 1,
-		hits:    t.hits,
-		misses:  t.misses,
-	}
-	t.rebase(s)
+	s := &Snapshot{sets: t.setMask + 1, hits: t.hits, misses: t.misses}
+	s.entries = t.entries.Capture(s)
 	return s
 }
 
 // Restore replaces the level's state with a copy of s and invalidates the
-// fill memo. When s is the TLB's base snapshot only the sets dirtied since
-// the base was established are copied back (zero work, zero allocation for
-// a clean TLB); any other snapshot is a full copy-in that rebases the TLB
-// onto it. Returns the metered number of bytes copied.
+// fill memo. Restoring the base into an unchanged TLB copies nothing and
+// returns 0; otherwise it returns the metered bytes of the sets copied plus
+// the counters.
 func (t *TLB) Restore(s *Snapshot) uint64 {
 	t.memoOK = false
-	if s == t.base {
-		if t.clean {
-			return 0
-		}
-		var copied uint64
-		perSet := uint64(t.ways)*entryBytes + setBytes
-		for wi, word := range t.dirty {
-			// Copy each run of consecutive dirty sets with one copy.
-			for word != 0 {
-				lo := bits.TrailingZeros64(word)
-				n := bits.TrailingZeros64(^(word >> lo))
-				word &^= (1<<n - 1) << lo
-				from, to := (wi<<6+lo)*t.ways, (wi<<6+lo+n)*t.ways
-				copy(t.entries[from:to], s.entries[from:to])
-				copied += uint64(n) * perSet
-			}
-			t.dirty[wi] = 0
-		}
-		t.hits = s.hits
-		t.misses = s.misses
-		t.clean = true
-		return copied + scalarBytes
+	if s == t.entries.Clean() {
+		return 0
 	}
-	t.entries = append(t.entries[:0], s.entries...)
+	entries, sets := t.entries.Restore(s, s.entries)
 	t.hits = s.hits
 	t.misses = s.misses
-	t.rebase(s)
-	return s.Bytes()
+	return uint64(entries)*entryBytes + uint64(sets)*setBytes + scalarBytes
 }
 
 // SystemSnapshot captures both TLB levels plus the translation counters.

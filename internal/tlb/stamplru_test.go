@@ -171,11 +171,11 @@ func matchRef(t *TLB, r *refTLB) string {
 	if t.hits != r.hits || t.misses != r.misses {
 		return "counters"
 	}
-	if t.clean != r.clean {
+	if (t.entries.Clean() != nil) != r.clean {
 		return "clean flag"
 	}
 	for set := 0; set < int(r.sets); set++ {
-		if t.dirty[set>>6]>>(set&63)&1 == 1 != r.dirty[set] {
+		if t.entries.Dirty(set) != r.dirty[set] {
 			return "dirty-set bitmap"
 		}
 		want := r.recency(set)
@@ -219,6 +219,8 @@ func tlbOracle(t *testing.T, geo uint8, ops []byte) {
 		r *refSnapshot
 	}
 	snaps := []pair{{dt.Snapshot(), dr.Snapshot()}}
+	// base is the handle tl was last captured to or restored from.
+	var base *Snapshot
 
 	next := func() byte {
 		if len(ops) == 0 {
@@ -269,11 +271,12 @@ func tlbOracle(t *testing.T, geo uint8, ops []byte) {
 			}
 		case 5:
 			what = "Snapshot"
-			tb, rb := tl.base, r.base
+			rb := r.base
 			s, rs := tl.Snapshot(), r.Snapshot()
-			if (s == tb) != (rs == rb) {
-				t.Fatalf("step %d: Snapshot handle reuse %v, oracle %v", step, s == tb, rs == rb)
+			if (s == base) != (rs == rb) {
+				t.Fatalf("step %d: Snapshot handle reuse %v, oracle %v", step, s == base, rs == rb)
 			}
+			base = s
 			if s.Bytes() != uint64(len(rs.entries))*24+uint64(sets)*4+24 {
 				t.Fatalf("step %d: Snapshot.Bytes = %d", step, s.Bytes())
 			}
@@ -284,6 +287,7 @@ func tlbOracle(t *testing.T, geo uint8, ops []byte) {
 			if got, want := tl.Restore(p.s), r.Restore(p.r); got != want {
 				t.Fatalf("step %d: Restore copied %d metered bytes, oracle %d", step, got, want)
 			}
+			base = p.s
 		}
 		if d := matchRef(tl, r); d != "" {
 			t.Fatalf("step %d (%s of vpn %d): %s differs from the stamp-LRU oracle", step, what, vpn, d)

@@ -7,6 +7,7 @@ package tlb
 
 import (
 	"memento/internal/config"
+	"memento/internal/delta"
 	"memento/internal/telemetry"
 )
 
@@ -24,12 +25,15 @@ type entry struct {
 const validBit = 1 << 63
 
 // TLB is one set-associative translation cache level. Entry storage is one
-// flat, set-major slice (set s occupies entries[s*ways : (s+1)*ways]) so a
+// flat, set-major slice (set s occupies entries.Live[s*ways : (s+1)*ways]) so a
 // probe walks contiguous memory instead of chasing a per-set pointer. Each
 // set keeps its valid entries in recency order, most recent first, with
 // invalid ways trailing, so LRU replacement needs no stamps (DESIGN.md §16).
 type TLB struct {
-	entries []entry
+	// entries is delta-tracked in blocks of one set: a change to a set marks
+	// it, and a Lookup miss, which changes only the miss counter, touches
+	// (see snapshot.go).
+	entries delta.Array[entry, Snapshot]
 	ways    int
 	setMask uint64
 	// Fill memo: a Lookup miss records the vpn it missed so the Insert that
@@ -39,19 +43,6 @@ type TLB struct {
 	memoOK       bool
 	hits, misses uint64
 	lat          uint64
-	// Delta-snapshot state: base is the snapshot this TLB's content was last
-	// captured to or restored from, dirty is a per-set bitmap of sets mutated
-	// since then, and clean reports no mutation at all (a Lookup miss bumps
-	// the miss counter without touching any set). See snapshot.go.
-	base  *Snapshot
-	clean bool
-	dirty []uint64
-}
-
-// markDirty records that set's content diverged from the base snapshot.
-func (t *TLB) markDirty(set uint64) {
-	t.dirty[set>>6] |= 1 << (set & 63)
-	t.clean = false
 }
 
 // New builds one TLB level. Entry count is rounded down to a whole number of
@@ -65,18 +56,17 @@ func New(cfg config.TLBConfig) *TLB {
 	// Round down to a power of two for cheap indexing.
 	sets = config.FloorPow2(sets)
 	return &TLB{
-		entries: make([]entry, sets*cfg.Ways),
+		entries: delta.New[entry, Snapshot](sets*cfg.Ways, cfg.Ways),
 		ways:    cfg.Ways,
 		setMask: uint64(sets - 1),
 		lat:     cfg.LatencyCycles,
-		dirty:   make([]uint64, (sets+63)/64),
 	}
 }
 
 // waysOf returns set s's entries as a window into the flat storage.
 func (t *TLB) waysOf(set uint64) []entry {
 	base := int(set) * t.ways
-	return t.entries[base : base+t.ways]
+	return t.entries.Live[base : base+t.ways]
 }
 
 // position returns the way holding vpn word want (vpn|validBit) in ways, or
@@ -117,7 +107,7 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 	t.memoOK = false
 	// Every Lookup mutates either the hit or the miss counter, so the TLB
 	// diverges from its base snapshot even when no set content changes.
-	t.clean = false
+	t.entries.Touch()
 	// The front way is the most recent entry; most hits land there, and it
 	// stays in place.
 	if ways[0].vpnw == vpn|validBit {
@@ -132,7 +122,7 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 	}
 	t.hits++
 	// A hit marks its set even when nothing moves (see Cache.Lookup).
-	t.dirty[set>>6] |= 1 << (set & 63)
+	t.entries.Mark(int(set))
 	return pfn, true
 }
 
@@ -141,7 +131,7 @@ func (t *TLB) Lookup(vpn uint64) (pfn uint64, ok bool) {
 func (t *TLB) Insert(vpn, pfn uint64) {
 	set := t.setOf(vpn)
 	ways := t.waysOf(set)
-	t.markDirty(set)
+	t.entries.Mark(int(set))
 	// The fill memo says the immediately preceding Lookup missed this very
 	// vpn, so there is no entry to update; otherwise look for one.
 	memo := t.memoOK && t.memoVPN == vpn
@@ -165,21 +155,15 @@ func (t *TLB) InvalidatePage(vpn uint64) {
 	if i := position(ways, vpn|validBit); i >= 0 {
 		copy(ways[i:], ways[i+1:])
 		ways[len(ways)-1] = entry{}
-		t.markDirty(set)
+		t.entries.Mark(int(set))
 	}
 }
 
 // Flush clears all translations (context switch without ASIDs).
 func (t *TLB) Flush() {
 	t.memoOK = false
-	clear(t.entries)
-	// Every set changed; mark only real set indices so the delta-restore
-	// walk never sees a phantom set (set counts below 64 leave the tail of
-	// the last bitmap word permanently clear).
-	for s := uint64(0); s <= t.setMask; s++ {
-		t.dirty[s>>6] |= 1 << (s & 63)
-	}
-	t.clean = false
+	clear(t.entries.Live)
+	t.entries.MarkAll()
 }
 
 // Hits and Misses expose raw counters.
